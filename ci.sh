@@ -30,105 +30,28 @@ echo "== protocol model-checker lane (explorer + conformance + mutations)"
 # runs; PM2_MODEL_DEEP adds the larger configurations.
 PM2_MODEL_DEEP=1 cargo test -q --release -p pm2-bench --test model
 
-echo "== fault-scenario matrix (seeds 1 7 42)"
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test faults
+echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
+# Each suite re-runs under the published fault seeds: faults (retransmit,
+# quarantine, typed exhaustion), stress (2% lossy random-traffic soak,
+# exactly-once + frame/message balance), coll (algorithm differential),
+# sched (per-policy determinism, liveness, comm-signal hygiene), rma
+# (passive-target put/get/accumulate, both progression modes) and scale
+# (256-rank storm with balance + probe-linearity, 256-rank determinism).
+for suite in faults stress coll sched rma scale; do
+  for seed in 1 7 42; do
+    PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test "$suite"
+  done
 done
 
-echo "== stress soak under the fault matrix (seeds 1 7 42)"
-# tests/stress.rs: the random-traffic soak re-runs on a 2% lossy fabric
-# per seed, asserting exactly-once delivery and frame/message balance.
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test stress
-done
-
-echo "== collective differential matrix (seeds 1 7 42)"
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test coll
-done
-
-echo "== scheduling-policy differential matrix (seeds 1 7 42)"
-# tests/sched.rs: default-policy goldens, per-policy determinism, and
-# liveness of every policy under the same fault seeds as the fault lane.
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test sched
-done
-
-echo "== one-sided RMA matrix (seeds 1 7 42)"
-# tests/rma.rs: passive-target put/get/accumulate in both progression
-# modes (stolen idle cores and the dedicated progress thread), with the
-# lossy lane asserting exactly-once accumulate across the seed matrix.
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test rma
-done
-
-echo "== scale suite (seeds 1 7 42, 256 ranks)"
-# tests/scale.rs: 256-rank eager all-to-all storm with the PR-4 balance
-# invariants plus the matching-probe linearity guard, and a 256-rank
-# determinism check on the barrier + neighbour-ring schedule.
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test scale
-done
-
-echo "== service-scenario suite (seeds 1 7 42, all four policies)"
-# tests/scenario.rs: report determinism, generator law bounds, nominal
-# specs pass their SLO under every policy, the overload probe fails its
-# SLO, and comm-signal brackets balance under thousands of streams.
-for seed in 1 7 42; do
-  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test scenario
-done
-
-echo "== scenario sweep smoke (BENCH_scenarios.json schema)"
-PM2_SCENARIO_SMOKE=1 ./target/release/scenario_sweep > /tmp/scenario_smoke.json
-for key in pm2-scenarios/v1 svc_uniform_poisson svc_incast_pareto svc_heavy_mix \
-           stencil_halo train_allreduce rma_incast_mix svc_overload_incast \
-           hier fifo vruntime comm p50_us p99_us p999_us slo_pass; do
-  grep -q "\"$key\"" /tmp/scenario_smoke.json \
-    || { echo "BENCH_scenarios smoke output misses key \"$key\""; exit 1; }
-done
-# The harness must be able to fail: the overload probe's verdict is
-# checked here too, so a rubber-stamping suite breaks CI.
-grep -q '"slo_pass": false' /tmp/scenario_smoke.json \
-  || { echo "scenario smoke: overload probe did not fail its SLO"; exit 1; }
-
-echo "== scheduling sweep smoke (BENCH_sched.json schema)"
-PM2_SCHED_SMOKE=1 ./target/release/sched_sweep > /tmp/sched_smoke.json
-for key in pm2-sched-sweep/v1 hier fifo vruntime comm \
-           fig5 fig5_loaded_us locality fig6; do
-  grep -q "\"$key\"" /tmp/sched_smoke.json \
-    || { echo "BENCH_sched smoke output misses key \"$key\""; exit 1; }
-done
-
-echo "== collective sweep smoke (BENCH_coll.json schema)"
-PM2_COLL_SMOKE=1 ./target/release/coll_sweep > /tmp/coll_smoke.json
-for key in allreduce_flat allreduce_auto allreduce_ring allreduce_rd \
-           bcast_flat bcast_tree bcast_auto; do
-  grep -q "\"$key\":" /tmp/coll_smoke.json \
-    || { echo "BENCH_coll smoke output misses series \"$key\""; exit 1; }
-done
-
-echo "== scale sweep smoke (BENCH_scale.json schema)"
-PM2_SCALE_SMOKE=1 ./target/release/scale_sweep > /tmp/scale_smoke.json
-for key in pm2-scale/v1 ranks ring_iters events msgs events_per_sec \
-           wall_ms virt_ms wall_per_virt end_ns; do
-  grep -q "\"$key\"" /tmp/scale_smoke.json \
-    || { echo "BENCH_scale smoke output misses key \"$key\""; exit 1; }
-done
-# Throughput must be non-degenerate and monotone: a zero events/sec
-# means the sweep measured nothing (wedged cluster or broken clock), and
-# per-event cost can only grow with rank count — the 16-rank point
-# sustains ~2x the 256-rank throughput, so this survives smoke noise.
-grep -q '"events_per_sec": 0[,}]' /tmp/scale_smoke.json \
-  && { echo "scale smoke: degenerate zero events/sec point"; exit 1; }
-rates=$(grep -o '"events_per_sec": [0-9]*' /tmp/scale_smoke.json | awk '{print $2}')
-prev=""
-for r in $rates; do
-  if [ -n "$prev" ] && [ "$r" -ge "$prev" ]; then
-    echo "scale smoke: events/sec not monotone decreasing with ranks ($rates)"
-    exit 1
-  fi
-  prev=$r
-done
+echo "== benchmark (locked build, smoke check, unit tests)"
+# --locked first: any change to the dependency graph under benchmark/
+# fails here instead of silently rewriting benchmark/Cargo.lock.
+cargo build --release --offline --locked --quiet \
+  --manifest-path benchmark/Cargo.toml --target-dir target
+# Every workload at /50 size, twice: output checks pass, and every
+# virtual metric, count and workload hash repeats exactly.
+benchmark/check.sh --smoke
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 echo "== zero-fault baseline guard (byte-identical figures)"
 # Doubles as the obs-disabled guard: pm2-obs is off by default, so any
@@ -140,10 +63,9 @@ for b in fig5 fig6 table1 bandwidth; do
 done
 
 echo "== obs timeline dump (pm2-obs-dump/v1 schema)"
-# The dump carries virtual timestamps, so it is schema-checked (like
-# BENCH_coll.json) rather than diffed against a golden file; obs_dump
-# itself exits nonzero if any reconstructed timeline is out of causal
-# order.
+# The dump carries virtual timestamps, so it is schema-checked rather
+# than diffed against a golden file; obs_dump itself exits nonzero if any
+# reconstructed timeline is out of causal order.
 ./target/release/obs_dump > /tmp/obs_dump.json
 for key in pm2-obs-dump/v1 pm2-obs-timeline/v1 pm2-obs-metrics/v1 \
            reqs rdvs rts_tx cts_rx dma_chunks submit_site latency_ns \
@@ -180,33 +102,6 @@ if [ "${PM2_MIRI:-0}" = "1" ]; then
   else
     echo "SKIPPED: Miri unavailable (needs 'rustup +nightly component add miri'," \
          "not installable offline). Run this lane on a networked host."
-  fi
-fi
-
-# ThreadSanitizer lane for the pm2-sync native stress tests; opt-in with
-# PM2_TSAN=1. Needs nightly. Std itself is only instrumented under
-# -Zbuild-std (needs the rust-src component, not installable offline), so
-# without it the libtest harness's own std internals are suppressed via
-# tsan-suppressions.txt; pm2-sync code is always fully checked.
-if [ "${PM2_TSAN:-0}" = "1" ]; then
-  echo "== ThreadSanitizer lane (pm2-sync)"
-  if rustup run nightly rustc --version >/dev/null 2>&1; then
-    host="$(rustc -vV | sed -n 's/^host: //p')"
-    if rustup component list --toolchain nightly 2>/dev/null \
-        | grep -q 'rust-src.*(installed)'; then
-      RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -p pm2-sync -Zbuild-std --target "$host" --test native_stress
-    else
-      # --test-threads=1 keeps the (uninstrumented) libtest harness off
-      # TSan's radar; the stress tests spawn their own checked threads.
-      TSAN_OPTIONS="suppressions=$(pwd)/tsan-suppressions.txt" \
-        RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
-        cargo +nightly test -p pm2-sync --target "$host" --test native_stress \
-        -- --test-threads=1
-    fi
-  else
-    echo "SKIPPED: nightly toolchain unavailable (not installable offline)." \
-         "Run this lane on a networked host with 'rustup toolchain install nightly'."
   fi
 fi
 

@@ -21,26 +21,9 @@ pub enum CollOp {
     Bcast,
 }
 
-/// One measured sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct CollPoint {
-    /// Ranks in the cluster.
-    pub ranks: usize,
-    /// Payload bytes per rank.
-    pub bytes: usize,
-    /// Virtual microseconds per collective.
-    pub us_per_op: f64,
-    /// Application-payload throughput (MB/s; payload ÷ completion time).
-    pub mbps: f64,
-    /// DAG steps rank 0 executed per collective.
-    pub steps: f64,
-    /// Pipeline chunks rank 0 sent per collective.
-    pub chunks: f64,
-}
-
 /// Times `iters` back-to-back collectives (after `warmup` untimed ones)
-/// and returns the per-op cost at rank 0. `algo` forces one algorithm;
-/// `None` exercises the auto-selector.
+/// and returns rank 0's virtual microseconds per collective. `algo`
+/// forces one algorithm; `None` exercises the auto-selector.
 pub fn run_coll(
     op: CollOp,
     algo: Option<AlgoKind>,
@@ -48,19 +31,16 @@ pub fn run_coll(
     bytes: usize,
     iters: usize,
     warmup: usize,
-) -> CollPoint {
+) -> f64 {
     let cluster = Cluster::build(ClusterConfig {
         nodes: ranks,
         ..ClusterConfig::default()
     });
     let comms = Comm::world(&cluster);
-    let comm0 = comms[0].clone();
     let t0 = Rc::new(Cell::new(SimTime::ZERO));
     let t1 = Rc::new(Cell::new(SimTime::ZERO));
-    let steps0 = Rc::new(Cell::new((0u64, 0u64)));
     for (rank, comm) in comms.into_iter().enumerate() {
         let (t0, t1) = (Rc::clone(&t0), Rc::clone(&t1));
-        let steps0 = Rc::clone(&steps0);
         cluster.spawn_on(rank, format!("coll{rank}"), move |ctx| async move {
             let one = |i: usize| {
                 let comm = comm.clone();
@@ -83,7 +63,6 @@ pub fn run_coll(
                 one(i).await;
             }
             comm.barrier(&ctx).await;
-            let before = comm.coll_counters();
             if comm.rank() == 0 {
                 t0.set(ctx.marcel().sim().now());
             }
@@ -92,27 +71,10 @@ pub fn run_coll(
             }
             if comm.rank() == 0 {
                 t1.set(ctx.marcel().sim().now());
-                let after = comm.coll_counters();
-                steps0.set((after.steps - before.steps, after.chunks - before.chunks));
             }
             comm.barrier(&ctx).await;
         });
     }
     cluster.run();
-    drop(comm0);
-    let window = t1.get().saturating_since(t0.get());
-    let us_per_op = window.as_micros_f64() / iters as f64;
-    let (steps, chunks) = steps0.get();
-    CollPoint {
-        ranks,
-        bytes,
-        us_per_op,
-        mbps: if us_per_op > 0.0 {
-            bytes as f64 / us_per_op
-        } else {
-            0.0
-        },
-        steps: steps as f64 / iters as f64,
-        chunks: chunks as f64 / iters as f64,
-    }
+    t1.get().saturating_since(t0.get()).as_micros_f64() / iters as f64
 }

@@ -11,11 +11,12 @@
 //! * `abl_aggreg` — strategy layer: FIFO vs. aggregation (§3.1)
 //! * `abl_adaptive` — offload-or-not policy (§5 future work)
 //! * `abl_timer` — timer-tick cycle stealing when no core is idle (§3.1)
+//! * `abl_numa` — progress tasklet on a near vs. a remote socket (§2.3)
+//! * `abl_threshold` — where the rendezvous threshold sits (§2.3)
 //!
-//! Plain `harness = false` benches under `benches/` measure the host-side
-//! performance of the native primitives (`pm2-sync`) and of the simulator
-//! itself using [`bench`]; they are self-contained so the workspace builds
-//! without any external crates.
+//! The `harness = false` bench `bench_sync` measures the host-side cost of
+//! the native primitives (`pm2-sync`) using [`bench`]; host-side cost of
+//! the simulator itself is the benchmark's job (`benchmark/`).
 
 #![warn(missing_docs)]
 

@@ -24,7 +24,10 @@
 //! theoretical: at sub-latency payloads the root's serialized eager
 //! receives are cheaper than `log P` *sequential* exchange rounds while
 //! `P-1` stays small — on the simulated MYRI-10G testbed the crossover
-//! brackets P ≈ 5…9 at ≤ 512 B (see `BENCH_coll.json`).
+//! brackets P ≈ 5…9 at ≤ 512 B (the original sweep:
+//! `git show 88d2719:BENCH_coll.json`;
+//! `tests/coll.rs::auto_selection_never_slower_than_flat` pins the table
+//! against flat).
 
 use crate::algo::AlgoKind;
 use crate::plan::CollKind;

@@ -261,15 +261,15 @@ pub fn check_trace(events: &[Event], cfg: &ConformCfg) -> ConformReport {
                     }
                 }
             }
-            EventKind::RdvComplete { rdv, .. } => {
+            EventKind::RdvComplete { rdv, src, .. } => {
                 let delivered = nodes
                     .get(&node)
-                    .and_then(|n| n.delivered_rdv.get(&rdv))
+                    .and_then(|n| n.delivered_rdv.get(&(src, rdv)))
                     .copied()
                     .unwrap_or(0);
                 if delivered != 1 {
                     report.errors.push(format!(
-                        "node {node}: RdvComplete for rdv {rdv} with model delivery count {delivered}"
+                        "node {node}: RdvComplete for rdv {rdv} from {src} with model delivery count {delivered}"
                     ));
                 }
             }

@@ -262,7 +262,7 @@ fn deliver_env(succ: &mut Succ, src: usize, dst: usize, rel: u64, inner: ProtoFr
 /// data chunks for an already-completed send, a target-side reply or
 /// ack), the flow is merely voided: its goals are excused at terminals,
 /// exactly as production accepts silent loss there. Those gaps are the
-/// honest limits documented in DESIGN.md §14.
+/// honest limits documented in DESIGN.md §13.
 fn abandon(w: &mut World, n: usize, dest: usize, inner: ProtoFrame, cfg: &Cfg) {
     let fail_origin = |w: &mut World, flow: u64| {
         if let Some(f) = w.nodes[n].flows.get_mut(&flow) {
@@ -443,14 +443,24 @@ fn check_terminal(w: &World, cfg: &Cfg) -> Vec<Violation> {
                     >= 1
             }
             OpKind::Rdv { dst, .. } => {
-                w.nodes[dst].delivered_rdv.get(&flow).copied().unwrap_or(0) >= 1
+                w.nodes[dst]
+                    .delivered_rdv
+                    .get(&(origin, flow))
+                    .copied()
+                    .unwrap_or(0)
+                    >= 1
                     && w.nodes[origin]
                         .flows
                         .get(&flow)
                         .is_some_and(|f| f.completed)
             }
             OpKind::RmaPut { dst, .. } | OpKind::RmaAcc { dst } => {
-                w.nodes[dst].applied_rma.get(&flow).copied().unwrap_or(0) >= 1
+                w.nodes[dst]
+                    .applied_rma
+                    .get(&(origin, flow))
+                    .copied()
+                    .unwrap_or(0)
+                    >= 1
                     && w.nodes[origin]
                         .flows
                         .get(&flow)

@@ -225,10 +225,12 @@ pub struct NodeState {
     pub flows: BTreeMap<u64, FlowSt>,
     /// Eager deliveries: (src, tag, seq) → delivery count.
     pub delivered_eager: BTreeMap<(usize, u64, u32), u32>,
-    /// Rendezvous deliveries: rdv → delivery count.
-    pub delivered_rdv: BTreeMap<u64, u32>,
-    /// RMA target-side applies: op → apply count.
-    pub applied_rma: BTreeMap<u64, u32>,
+    /// Rendezvous deliveries: (src, rdv) → delivery count. Production
+    /// rdv ids are per-sender counters, so the id alone is ambiguous.
+    pub delivered_rdv: BTreeMap<(usize, u64), u32>,
+    /// RMA target-side applies: (src, op) → apply count (op ids are
+    /// per-origin counters, like rdv ids).
+    pub applied_rma: BTreeMap<(usize, u64), u32>,
     /// Sender-side in-flight rendezvous (RTS sent, waiting for CTS).
     pub rdv_sends: BTreeMap<u64, u32>,
     /// Receiver-side rendezvous assemblies, keyed (src, rdv).

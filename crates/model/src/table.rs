@@ -166,7 +166,7 @@ fn rdv_data_fresh(ctx: &RuleCtx, n: &mut NodeState, eff: &mut Effects) {
                 asm.seen.iter().filter(|s| **s).count()
             )
         });
-        let count = n.delivered_rdv.entry(rdv).or_insert(0);
+        let count = n.delivered_rdv.entry((src, rdv)).or_insert(0);
         bump(count, eff, || format!("rdv {rdv} delivered twice"));
     }
 }
@@ -184,16 +184,18 @@ fn rdv_data_stale_guard(ctx: &RuleCtx, n: &NodeState) -> bool {
 
 // ---- one-sided (RMA) --------------------------------------------------
 
-fn rma_apply(n: &mut NodeState, eff: &mut Effects, op: u64, what: &'static str) {
-    let count = n.applied_rma.entry(op).or_insert(0);
-    bump(count, eff, || format!("{what} op {op} applied twice"));
+fn rma_apply(n: &mut NodeState, eff: &mut Effects, src: usize, op: u64, what: &'static str) {
+    let count = n.applied_rma.entry((src, op)).or_insert(0);
+    bump(count, eff, || {
+        format!("{what} op {op} from {src} applied twice")
+    });
 }
 
 fn rma_put(ctx: &RuleCtx, n: &mut NodeState, eff: &mut Effects) {
     let ProtoFrame::RmaPut { op } = ctx.frame else {
         return;
     };
-    rma_apply(n, eff, op, "put");
+    rma_apply(n, eff, ctx.src, op, "put");
     eff.send.push((ctx.src, ProtoFrame::RmaAck { op }));
 }
 
@@ -233,7 +235,7 @@ fn put_chunk_fresh(ctx: &RuleCtx, n: &mut NodeState, eff: &mut Effects) {
                 asm.seen.iter().filter(|s| **s).count()
             )
         });
-        rma_apply(n, eff, op, "chunked put");
+        rma_apply(n, eff, src, op, "chunked put");
         eff.send.push((src, ProtoFrame::RmaAck { op }));
     }
 }
@@ -270,7 +272,7 @@ fn rma_acc(ctx: &RuleCtx, n: &mut NodeState, eff: &mut Effects) {
     let ProtoFrame::RmaAcc { op } = ctx.frame else {
         return;
     };
-    rma_apply(n, eff, op, "accumulate");
+    rma_apply(n, eff, ctx.src, op, "accumulate");
     eff.send.push((ctx.src, ProtoFrame::RmaAck { op }));
 }
 

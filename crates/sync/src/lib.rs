@@ -36,14 +36,11 @@ mod mcs;
 pub mod model;
 mod mpmc;
 mod mpsc;
-mod native;
 pub mod primitives;
-mod rwspin;
 mod seqlock;
 mod spin;
 mod tasklet;
 mod ticket;
-mod waitgroup;
 
 pub use backoff::{exp_factor, Backoff};
 pub use cache_padded::CachePadded;
@@ -51,10 +48,7 @@ pub use event::EventCount;
 pub use mcs::{McsGuard, McsLock, McsNode};
 pub use mpmc::MpmcQueue;
 pub use mpsc::MpscQueue;
-pub use native::{NativeEngine, NativeRequest};
-pub use rwspin::{RwReadGuard, RwSpinLock, RwWriteGuard};
 pub use seqlock::SeqLock;
 pub use spin::{SpinLock, SpinLockGuard};
 pub use tasklet::{Tasklet, TaskletExecutor, TaskletHandle, TaskletState};
 pub use ticket::{TicketLock, TicketLockGuard};
-pub use waitgroup::WaitGroup;

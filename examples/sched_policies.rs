@@ -47,7 +47,7 @@ fn main() {
 
 /// Fig. 4 loop with a 2 µs compute slice, sharing a 2-core node with
 /// three background compute threads (the loaded point of
-/// `tests/sched.rs` and `BENCH_sched.json`).
+/// `tests/sched.rs::comm_aware_improves_loaded_overlap_vs_fifo`).
 fn loaded_half_round(policy: &str) -> f64 {
     let cfg = ClusterConfig {
         sockets_per_node: 1,

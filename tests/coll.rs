@@ -250,10 +250,8 @@ fn ring_allreduce_doubles_flat_throughput() {
     let flat = run_coll(CollOp::Allreduce, Some(AlgoKind::Flat), 8, 1 << 20, 2, 1);
     let ring = run_coll(CollOp::Allreduce, Some(AlgoKind::Ring), 8, 1 << 20, 2, 1);
     assert!(
-        ring.us_per_op * 2.0 <= flat.us_per_op,
-        "ring {:.1}µs vs flat {:.1}µs — less than 2× speedup",
-        ring.us_per_op,
-        flat.us_per_op
+        ring * 2.0 <= flat,
+        "ring {ring:.1}µs vs flat {flat:.1}µs — less than 2× speedup"
     );
 }
 
@@ -267,10 +265,8 @@ fn auto_selection_never_slower_than_flat() {
                 let flat = run_coll(op, Some(AlgoKind::Flat), ranks, bytes, 2, 1);
                 let auto = run_coll(op, None, ranks, bytes, 2, 1);
                 assert!(
-                    auto.us_per_op <= flat.us_per_op * 1.001,
-                    "{op:?} auto {:.2}µs > flat {:.2}µs at {ranks} ranks × {bytes} B",
-                    auto.us_per_op,
-                    flat.us_per_op
+                    auto <= flat * 1.001,
+                    "{op:?} auto {auto:.2}µs > flat {flat:.2}µs at {ranks} ranks × {bytes} B"
                 );
             }
         }

@@ -530,6 +530,55 @@ fn lossy_stream_trace_is_model_permitted() {
     );
 }
 
+/// A 16-rank incast at 1 % loss: every other rank sends rank 0 an eager
+/// and a rendezvous message. Rendezvous ids are per-session counters, so
+/// all fifteen senders reuse the same ids towards one receiver; the
+/// replay must tell their deliveries apart by sender.
+#[test]
+fn lossy_incast_trace_is_model_permitted() {
+    const RANKS: usize = 16;
+    let mut fabric = FabricParams::myri10g();
+    fabric.fault = FaultPlan::loss(1, 0.01);
+    let cluster = Cluster::build(ClusterConfig {
+        nodes: RANKS,
+        fabric,
+        ..ClusterConfig::paper_testbed(EngineKind::Pioman)
+    });
+    cluster.sim().obs().set_enabled(true);
+    for src in 1..RANKS {
+        let s = cluster.session(src).clone();
+        cluster.spawn_on(src, format!("incast-tx{src}"), move |ctx| async move {
+            s.send(
+                &ctx,
+                NodeId(0),
+                Tag(2 * src as u64),
+                vec![src as u8; 4 << 10],
+            )
+            .await;
+            s.send(
+                &ctx,
+                NodeId(0),
+                Tag(2 * src as u64 + 1),
+                vec![src as u8; 64 << 10],
+            )
+            .await;
+        });
+        let s = cluster.session(0).clone();
+        cluster.spawn_on(0, format!("incast-rx{src}"), move |ctx| async move {
+            for tag in [2 * src as u64, 2 * src as u64 + 1] {
+                let data = s.recv(&ctx, Some(NodeId(src)), Tag(tag)).await;
+                assert!(data.iter().all(|&b| b == src as u8), "payload from {src}");
+            }
+        });
+    }
+    let end = cluster.run_deadline(DEADLINE);
+    assert!(end < DEADLINE, "incast run wedged");
+    let report = check_trace(&cluster.sim().obs().events(), &ConformCfg::default());
+    eprintln!("{}", report.render());
+    assert!(report.conformant(), "lossy incast trace not permitted");
+    assert_eq!(report.rdvs, RANKS - 1, "one rendezvous per sender");
+}
+
 /// The passive-target RMA exchange (put, 16 accumulates, two gets, the
 /// target computing throughout) is model-permitted: every op is issued
 /// once, applied exactly-once and completed exactly-once.

@@ -15,8 +15,8 @@ use pm2_topo::NodeId;
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// One-socket dual-core nodes (the `scale_sweep` testbed): big clusters
-/// without paying for 8 Marcel cores per rank.
+/// One-socket dual-core nodes (the benchmark's `ring_1024` shape): big
+/// clusters without paying for 8 Marcel cores per rank.
 fn scale_testbed(ranks: usize, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_testbed(EngineKind::Pioman);
     cfg.nodes = ranks;

@@ -10,12 +10,14 @@
 //!   virtual-time results;
 //! * every policy completes the paper's fig. 5 overlap loop and the
 //!   fig. 7/8 stencil, and survives the fault matrix (`PM2_FAULT_SEED`,
-//!   same knob as `tests/faults.rs`);
+//!   same knob as `tests/faults.rs`) with no comm-signal wait bracket
+//!   left open, even under thousands of concurrent streams;
 //! * the comm-aware policy measurably improves overlap over the FIFO
 //!   baseline on a loaded core — the whole point of boosting threads
 //!   whose requests are near completion.
 
 use pm2_fabric::{FabricParams, FaultPlan};
+use pm2_marcel::MAX_TRACKED_REQS;
 use pm2_mpi::workloads::{run_overlap, run_stencil, OverlapParams, StencilParams};
 use pm2_mpi::{Cluster, ClusterConfig, SchedPolicyKind};
 use pm2_newmad::{EngineKind, Tag};
@@ -195,7 +197,59 @@ fn all_policies_survive_fault_seeds() {
             lens.len(),
             "{name} seed {seed}: messages lost"
         );
+        assert_signals_quiesced(&cluster, name);
     }
+}
+
+/// Comm-signal hygiene after quiescence: no wait bracket is left open and
+/// the bounded signal table never grew past its cap.
+fn assert_signals_quiesced(cluster: &Cluster, policy: &str) {
+    for node in 0..cluster.ranks() {
+        let marcel = cluster.marcel(node);
+        assert_eq!(
+            marcel.comm_waiting(),
+            0,
+            "{policy} node {node}: open wait brackets after quiescence"
+        );
+        assert!(
+            marcel.comm_tracked() <= MAX_TRACKED_REQS,
+            "{policy} node {node}: comm-signal table over its cap"
+        );
+    }
+}
+
+/// Comm-signal hygiene at service scale under the `comm` policy: 2 ranks
+/// × 1 024 closed-loop client streams, one small eager message each to
+/// the other rank, every one bracketing its wait through the signal
+/// table.
+#[test]
+fn comm_signals_quiesce_under_thousands_of_streams() {
+    const STREAMS: usize = 1_024;
+    let cluster = Cluster::build(testbed("comm"));
+    let delivered = Rc::new(Cell::new(0usize));
+    for src in 0..2 {
+        let dst = 1 - src;
+        for stream in 0..STREAMS {
+            let tag = Tag((src * STREAMS + stream) as u64);
+            let len = 64 + stream % 193;
+            let s = cluster.session(src).clone();
+            cluster.spawn_on(src, format!("tx{src}.{stream}"), move |ctx| async move {
+                s.send(&ctx, NodeId(dst), tag, vec![stream as u8; len])
+                    .await;
+            });
+            let s = cluster.session(dst).clone();
+            let delivered = Rc::clone(&delivered);
+            cluster.spawn_on(dst, format!("rx{src}.{stream}"), move |ctx| async move {
+                let data = s.recv(&ctx, Some(NodeId(src)), tag).await;
+                assert_eq!(data, vec![stream as u8; len], "stream {src}.{stream}");
+                delivered.set(delivered.get() + 1);
+            });
+        }
+    }
+    let end = cluster.run_deadline(DEADLINE);
+    assert!(end < DEADLINE, "signal storm wedged");
+    assert_eq!(delivered.get(), 2 * STREAMS, "one delivery per stream");
+    assert_signals_quiesced(&cluster, "comm");
 }
 
 /// Fig. 5 overlap loop with the communicating thread *sharing its node
