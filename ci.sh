@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
+echo "== rustdoc (-D warnings)"
+# Keeps intra-doc links honest: a deleted item still named in a doc
+# comment fails here instead of rendering as a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== pm2-lint source gate (raw-sync + protocol-panic rules)"
 # The former grep hygiene gate, promoted to a scanner with testable
 # rules: raw std::sync primitives outside crates/sync (escape:
@@ -34,7 +39,7 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # Each suite re-runs under the published fault seeds: faults (retransmit,
 # quarantine, typed exhaustion), stress (2% lossy random-traffic soak,
 # exactly-once + frame/message balance), coll (algorithm differential),
-# sched (per-policy determinism, liveness, comm-signal hygiene), rma
+# sched (goldens, determinism, liveness, exactly-once at 2k streams), rma
 # (passive-target put/get/accumulate, both progression modes) and scale
 # (256-rank storm with balance + probe-linearity, 256-rank determinism).
 for suite in faults stress coll sched rma scale; do

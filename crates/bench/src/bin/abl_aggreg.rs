@@ -1,6 +1,6 @@
 //! Ablation: the strategy layer — FIFO vs. aggregation vs. reordering.
 //!
-//! NewMadeleine's optimizer (§3.1, [2]) can aggregate consecutive small
+//! NewMadeleine's optimizer (§3.1, \[2\]) can aggregate consecutive small
 //! messages to the same destination into one frame, saving per-frame
 //! submission and wire overheads. This benchmark sends bursts of small
 //! messages and compares total delivery time and frames on the wire.

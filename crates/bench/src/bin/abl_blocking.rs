@@ -1,6 +1,6 @@
 //! Ablation: idle-core polling vs. blocking-syscall progression (§2.3).
 //!
-//! The authors' earlier work [10] guaranteed rendezvous progression with
+//! The authors' earlier work \[10\] guaranteed rendezvous progression with
 //! "a blocking system call on a dedicated thread, but this method suffers
 //! from a significant overhead". PIOMAN keeps it only as a fallback for
 //! when no core is idle. This benchmark measures a rendezvous transfer

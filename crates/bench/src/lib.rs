@@ -7,7 +7,7 @@
 //! * `fig6` — rendezvous handshake progression (§4.2, Figure 6)
 //! * `table1` — convolution meta-application (§4.3, Table 1)
 //! * `abl_lock` — per-event spinlocks vs. library-wide mutex (§2.1)
-//! * `abl_blocking` — idle-core polling vs. blocking syscalls (§2.3/[10])
+//! * `abl_blocking` — idle-core polling vs. blocking syscalls (§2.3/\[10\])
 //! * `abl_aggreg` — strategy layer: FIFO vs. aggregation (§3.1)
 //! * `abl_adaptive` — offload-or-not policy (§5 future work)
 //! * `abl_timer` — timer-tick cycle stealing when no core is idle (§3.1)
@@ -15,7 +15,7 @@
 //! * `abl_threshold` — where the rendezvous threshold sits (§2.3)
 //!
 //! The `harness = false` bench `bench_sync` measures the host-side cost of
-//! the native primitives (`pm2-sync`) using [`bench`]; host-side cost of
+//! the native primitives (`pm2-sync`) using [`bench()`]; host-side cost of
 //! the simulator itself is the benchmark's job (`benchmark/`).
 
 #![warn(missing_docs)]

@@ -29,7 +29,7 @@ pub struct PiomanConfig {
     /// Schedule the progress tasklet on Marcel timer ticks.
     pub timer_poll: bool,
     /// Keep a dedicated kernel thread in a blocking call when the driver
-    /// is waiting on hardware ("the blocking method of [10]").
+    /// is waiting on hardware ("the blocking method of \[10\]").
     pub blocking_call: bool,
     /// One-way syscall cost (enter or leave the kernel).
     pub syscall_cost: SimDuration,

@@ -17,7 +17,7 @@
 //! * **at timer ticks**, so progress still happens when every core is busy
 //!   computing (optionally stealing cycles from computing threads);
 //! * **from a blocking system call on a dedicated kernel thread** when no
-//!   core is idle — the method of the authors' earlier work [10], kept as
+//!   core is idle — the method of the authors' earlier work \[10\], kept as
 //!   a fallback because of its "significant overhead";
 //! * **inline in [`Pioman::wait`]** — if the application reaches the wait
 //!   before background progress happened, the waiting thread performs the

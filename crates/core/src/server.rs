@@ -937,7 +937,6 @@ impl Pioman {
         loop {
             if let Some(i) = reqs.iter().position(PiomReq::is_complete) {
                 self.inner.sim.verify().observe_complete(reqs[i].id());
-                self.inner.marcel.note_req_done(reqs[i].id());
                 return i;
             }
             let (p, _) = self.locked_progress(CallSite::Inline);
@@ -963,15 +962,7 @@ impl Pioman {
                     t.fire();
                 });
             }
-            // Advertise the furthest-along request as the one being
-            // waited on: it is the likeliest to fire the fan-in trigger.
-            let watched = reqs
-                .iter()
-                .max_by_key(|r| self.inner.marcel.comm_req_stage(r.id()))
-                .expect("nonempty");
-            self.inner.marcel.comm_wait_begin(ctx.id(), watched.id());
             ctx.block_until(&any, true).await;
-            self.inner.marcel.comm_wait_end(ctx.id());
         }
     }
 
@@ -987,7 +978,6 @@ impl Pioman {
         loop {
             if req.is_complete() {
                 self.inner.sim.verify().observe_complete(req.id());
-                self.inner.marcel.note_req_done(req.id());
                 return;
             }
             let (p, _) = self.locked_progress(CallSite::Inline);
@@ -996,7 +986,6 @@ impl Pioman {
             }
             if req.is_complete() {
                 self.inner.sim.verify().observe_complete(req.id());
-                self.inner.marcel.note_req_done(req.id());
                 return;
             }
             if p.did_work {
@@ -1004,12 +993,7 @@ impl Pioman {
             }
             if self.inner.cfg.can_progress_in_background() {
                 self.ensure_watcher();
-                // Let scheduling policies see which request this thread
-                // blocks on (the comm-aware policy boosts it once the
-                // request nears completion).
-                self.inner.marcel.comm_wait_begin(ctx.id(), req.id());
                 ctx.block_until(req.trigger(), true).await;
-                self.inner.marcel.comm_wait_end(ctx.id());
             } else {
                 // No one else will ever poll: busy-wait like a classical
                 // MPI implementation.

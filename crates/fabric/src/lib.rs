@@ -15,7 +15,7 @@
 //!   and bandwidth, optional jitter ([`FabricParams`]).
 //! * **Reception requires host reactivity.** Arrived frames sit in the NIC
 //!   receive queue until the host *polls* ([`Nic::rx_poll`]) or is woken
-//!   from a *blocking call* ([`Nic::rx_trigger`], the method of [10] the
+//!   from a *blocking call* ([`Nic::rx_trigger`], the method of \[10\] the
 //!   paper contrasts with idle-core polling).
 //! * **Zero-copy needs registered memory.** [`MemoryRegistry`] models the
 //!   registration cache used by the rendezvous path.

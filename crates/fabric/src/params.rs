@@ -128,7 +128,7 @@ pub struct FabricParams {
     /// CPU cost of one NIC poll (check completion queue).
     pub poll_cost: SimDuration,
     /// One-way cost of entering/leaving a blocking kernel call (the
-    /// overhead of the method of [10]).
+    /// overhead of the method of \[10\]).
     pub syscall_cost: SimDuration,
 
     // -- registered memory ---------------------------------------------------

@@ -1,6 +1,5 @@
-//! Scheduler cost model and policy selection.
+//! Scheduler cost model.
 
-use crate::policy::SchedPolicyKind;
 use pm2_sim::SimDuration;
 
 /// Virtual-time costs charged by the scheduler, calibrated to the paper's
@@ -32,9 +31,6 @@ pub struct MarcelConfig {
     /// The stolen time extends the thread's computation — this is the
     /// intrusiveness the paper wants to avoid when idle cores exist.
     pub timer_steals_from_compute: bool,
-    /// Which scheduling policy drives thread placement and dispatch.
-    /// Defaults to the paper-faithful hierarchical queues.
-    pub policy: SchedPolicyKind,
 }
 
 impl Default for MarcelConfig {
@@ -47,7 +43,6 @@ impl Default for MarcelConfig {
             idle_poll_period: SimDuration::from_nanos(500),
             timer_tick: Some(SimDuration::from_micros(100)),
             timer_steals_from_compute: false,
-            policy: SchedPolicyKind::default(),
         }
     }
 }
@@ -64,7 +59,6 @@ impl MarcelConfig {
             idle_poll_period: SimDuration::from_nanos(100),
             timer_tick: None,
             timer_steals_from_compute: false,
-            policy: SchedPolicyKind::default(),
         }
     }
 }

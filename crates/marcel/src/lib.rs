@@ -23,31 +23,21 @@
 //! looks for tasklets and idle work — this is exactly the mechanism that
 //! lets the engine overlap communication with computation.
 //!
-//! **Scheduling is pluggable**: the engine (cores, tasklets, hooks,
-//! timers) is fixed, while thread placement and dispatch order are
-//! delegated to a [`SchedPolicy`] selected via [`MarcelConfig::policy`]
-//! (see [`SchedPolicyKind`] for the shipped ones). The default
-//! hierarchical policy reproduces the paper's behavior exactly; the
-//! communication-aware one additionally consumes the request-progress
-//! signals ([`CommSignals`]) that PIOMAN and NewMadeleine publish.
+//! Ready threads wait in hierarchical run queues (core / socket / node ×
+//! priority): a core pops the highest priority first and, within one
+//! priority, the nearest level, stealing from another socket rather than
+//! idling. Woken communicating threads jump their queue at high priority,
+//! so they run "as soon as the communication event is detected" (§3.2).
 
 #![warn(missing_docs)]
 
-mod comm;
 mod config;
-pub mod policies;
-mod policy;
 mod runq;
 mod sched;
 mod tasklet;
 mod thread;
 
-pub use comm::{CommSignals, CommStage, MAX_TRACKED_REQS};
 pub use config::MarcelConfig;
-pub use policy::{
-    Dispatched, KickHint, PolicyCtx, PopSource, ReadyEvent, SchedPolicy, SchedPolicyKind, StopKind,
-    ThreadView,
-};
 pub use sched::{HookResult, Marcel, SchedStats, TimerId};
 pub use tasklet::{TaskletId, TaskletRun};
 pub use thread::{Priority, ThreadCtx, ThreadId};

@@ -27,11 +27,23 @@
 //!   `front` flag: a pinned thread's queue order is its arrival order
 //!   (its urgency is already expressed by the priority index).
 
-use crate::policy::PopSource;
 use crate::thread::{Priority, ThreadId};
 use std::collections::VecDeque;
 
 const PRIOS: usize = 3;
+
+/// Where a dispatched thread was queued, for locality statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PopSource {
+    /// The core's own strict-affinity queue.
+    Core,
+    /// The core's own socket (cache-warm).
+    LocalSocket,
+    /// A node-wide queue.
+    Node,
+    /// Stolen from another socket's queue.
+    RemoteSocket,
+}
 
 /// Queue index of a priority (higher index pops first).
 pub(crate) fn prio_idx(p: Priority) -> usize {

@@ -1,13 +1,9 @@
-//! The scheduler engine: cores, dispatch machinery, and the glue that
-//! drives a pluggable [`SchedPolicy`].
+//! The scheduler engine: cores, the hierarchical run queues and the
+//! dispatch machinery (core occupancy, tasklet invocation pricing,
+//! idle-hook sweeps, timers, run-event deduplication). Submodules:
 //!
-//! The engine owns what is *mechanism* — core occupancy, tasklet
-//! invocation pricing, idle-hook sweeps, timers, the run-event
-//! deduplication — and delegates every *placement* decision (which queue,
-//! which core to kick, which thread to run next) to the policy selected
-//! in [`MarcelConfig::policy`]. Submodules:
-//!
-//! * [`threads`] — thread lifecycle (spawn, block/wake, yield, finish);
+//! * [`threads`] — thread lifecycle (spawn, block/wake, yield, finish)
+//!   and the placement and kick rules of ready threads;
 //! * [`tasklets`] — tasklet scheduling and execution;
 //! * [`hooks`] — idle hooks (PIOMAN's polling sites);
 //! * [`timers`] — periodic timers;
@@ -25,9 +21,8 @@ pub use hooks::HookResult;
 pub use stats::SchedStats;
 pub use timers::TimerId;
 
-use crate::comm::CommSignals;
 use crate::config::MarcelConfig;
-use crate::policy::{KickHint, PolicyCtx, SchedPolicy, ThreadView};
+use crate::runq::RunQueues;
 use crate::tasklet::{TaskletId, TaskletRec};
 use crate::thread::{Priority, ThreadId};
 use hooks::IdleHook;
@@ -69,13 +64,19 @@ pub(crate) struct Core {
     pub(crate) scheduled_run: Option<(SimTime, TimerHandle)>,
 }
 
+impl Core {
+    /// True if the core has neither a thread nor in-flight work at `now`.
+    pub(crate) fn is_idle(&self, now: SimTime) -> bool {
+        self.current.is_none() && self.busy_until <= now
+    }
+}
+
 pub(crate) struct State {
     pub(crate) cores: Vec<Core>,
     pub(crate) threads: Slab<ThreadRec>,
     pub(crate) tasklets: Slab<TaskletRec>,
     pub(crate) tasklet_queue: VecDeque<TaskletId>,
-    pub(crate) policy: Box<dyn SchedPolicy>,
-    pub(crate) comm: CommSignals,
+    pub(crate) runq: RunQueues,
     pub(crate) hooks: Vec<IdleHook>,
     pub(crate) timers: Slab<timers::TimerRec>,
     pub(crate) stats: SchedStats,
@@ -85,25 +86,6 @@ pub(crate) struct State {
     /// Per-shard counts of tasklet work events
     /// ([`crate::TaskletRun::note_shard`]), indexed by shard.
     pub(crate) tasklet_shard_work: Vec<u64>,
-}
-
-/// Splits the state into the policy and the read-only view it may consult
-/// (they borrow disjoint fields, so both live at once).
-pub(crate) fn policy_split<'a>(
-    st: &'a mut State,
-    now: SimTime,
-    sockets: usize,
-    cores_per_socket: usize,
-) -> (&'a mut dyn SchedPolicy, PolicyCtx<'a>) {
-    let pending = st.tasklet_queue.len();
-    let State {
-        policy,
-        cores,
-        comm,
-        ..
-    } = st;
-    let ctx = PolicyCtx::new(now, cores, comm, sockets, cores_per_socket, pending);
-    (policy.as_mut(), ctx)
 }
 
 pub(crate) struct Inner {
@@ -138,23 +120,9 @@ pub struct Marcel {
 }
 
 impl Marcel {
-    /// Creates a scheduler owning the cores of `node` in `topo`, driven by
-    /// the policy named in `cfg.policy`.
+    /// Creates a scheduler owning the cores of `node` in `topo`.
     pub fn new(sim: Sim, topo: Rc<Topology>, node: NodeId, cfg: MarcelConfig) -> Marcel {
-        let policy = cfg
-            .policy
-            .build(topo.cores_per_node(), topo.sockets_per_node());
-        Self::new_with_policy(sim, topo, node, cfg, policy)
-    }
-
-    /// Like [`Marcel::new`], with a caller-built (possibly custom) policy.
-    pub fn new_with_policy(
-        sim: Sim,
-        topo: Rc<Topology>,
-        node: NodeId,
-        cfg: MarcelConfig,
-        policy: Box<dyn SchedPolicy>,
-    ) -> Marcel {
+        let runq = RunQueues::new(topo.cores_per_node(), topo.sockets_per_node());
         let cores = topo
             .cores_of(node)
             .map(|id| Core {
@@ -175,8 +143,7 @@ impl Marcel {
                     threads: Slab::new(),
                     tasklets: Slab::new(),
                     tasklet_queue: VecDeque::new(),
-                    policy,
-                    comm: CommSignals::default(),
+                    runq,
                     hooks: Vec::new(),
                     timers: Slab::new(),
                     stats: SchedStats::default(),
@@ -207,47 +174,9 @@ impl Marcel {
         &self.inner.cfg
     }
 
-    /// Name of the scheduling policy driving this node.
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.state.borrow().policy.name()
-    }
-
     pub(crate) fn local(&self, core: CoreId) -> usize {
         debug_assert_eq!(self.inner.topo.node_of(core), self.inner.node);
         self.inner.topo.local_index(core)
-    }
-
-    /// Global id of a node-local core index.
-    pub(crate) fn core_at(&self, local: usize) -> CoreId {
-        self.inner.topo.core_on(self.inner.node, local)
-    }
-
-    /// Socket/core shape handed to [`PolicyCtx`].
-    pub(crate) fn dims(&self) -> (usize, usize) {
-        (
-            self.inner.topo.sockets_per_node(),
-            self.inner.topo.cores_per_socket(),
-        )
-    }
-
-    /// Builds the policy's view of a thread (local core indices).
-    pub(crate) fn thread_view(&self, id: ThreadId, rec: &ThreadRec) -> ThreadView {
-        ThreadView {
-            id,
-            priority: rec.priority,
-            affinity: rec.affinity.map(|c| self.local(c)),
-            last_core: rec.last_core.map(|c| self.local(c)),
-        }
-    }
-
-    /// Applies a policy's [`KickHint`].
-    pub(crate) fn apply_kick(&self, hint: KickHint) {
-        match hint {
-            KickHint::Core(l) => self.schedule_run(self.core_at(l), SimDuration::ZERO),
-            KickHint::Near(l) => self.kick_idle_near(Some(self.core_at(l))),
-            KickHint::AnyIdle => self.kick_one_idle(),
-            KickHint::None => {}
-        }
     }
 
     // ----- core engine ----------------------------------------------------
@@ -262,7 +191,7 @@ impl Marcel {
             .borrow()
             .cores
             .iter()
-            .filter(|c| c.current.is_none() && c.busy_until <= now)
+            .filter(|c| c.is_idle(now))
             .map(|c| c.id)
             .collect();
         for c in idle {
@@ -270,35 +199,18 @@ impl Marcel {
         }
     }
 
-    pub(crate) fn kick_one_idle(&self) {
-        let now = self.inner.sim.now();
-        let idle = {
-            let st = self.inner.state.borrow();
-            let is_idle = |c: &Core| c.current.is_none() && c.busy_until <= now;
-            // Prefer an idle core with no run already pending so that two
-            // ready threads wake two distinct cores.
-            st.cores
-                .iter()
-                .find(|c| is_idle(c) && c.scheduled_run.is_none())
-                .or_else(|| st.cores.iter().find(|c| is_idle(c)))
-                .map(|c| c.id)
-        };
-        if let Some(c) = idle {
-            self.schedule_run(c, SimDuration::ZERO);
-        }
-    }
-
-    /// Kicks the idle core nearest to `origin` (or any idle core).
+    /// Kicks the idle core nearest to `origin`, or any idle core.
     pub(crate) fn kick_idle_near(&self, origin: Option<CoreId>) {
         let now = self.inner.sim.now();
         let chosen = {
             let st = self.inner.state.borrow();
-            let is_idle = |c: &Core| c.current.is_none() && c.busy_until <= now;
+            // Prefer an idle core with no run already pending so that two
+            // ready threads wake two distinct cores.
             let fallback = || {
                 st.cores
                     .iter()
-                    .find(|c| is_idle(c) && c.scheduled_run.is_none())
-                    .or_else(|| st.cores.iter().find(|c| is_idle(c)))
+                    .find(|c| c.is_idle(now) && c.scheduled_run.is_none())
+                    .or_else(|| st.cores.iter().find(|c| c.is_idle(now)))
                     .map(|c| c.id)
             };
             match origin {
@@ -310,7 +222,7 @@ impl Marcel {
                     .find(|&cand| {
                         let local = self.inner.topo.local_index(cand);
                         let c = &st.cores[local];
-                        is_idle(c) && c.scheduled_run.is_none()
+                        c.is_idle(now) && c.scheduled_run.is_none()
                     })
                     .or_else(fallback),
                 None => fallback(),
@@ -350,13 +262,6 @@ impl Marcel {
     /// hooks.
     pub(crate) fn run_core(&self, core: CoreId) {
         let local = self.local(core);
-        {
-            let mut st = self.inner.state.borrow_mut();
-            let now = self.inner.sim.now();
-            let (sockets, cps) = self.dims();
-            let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-            policy.tick(&pctx, local);
-        }
         loop {
             let now = self.inner.sim.now();
             // Phase 0: occupied?
@@ -409,19 +314,13 @@ impl Marcel {
                 });
                 return;
             }
-            // Phase 2: threads — ask the policy for the best eligible one.
-            let dispatched = {
-                let mut st = self.inner.state.borrow_mut();
-                let (sockets, cps) = self.dims();
-                let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-                policy.dispatch(&pctx, local)
-            };
-            if let Some(d) = dispatched {
-                let tid = d.thread;
+            // Phase 2: threads — the best eligible one for this core.
+            let popped = self.inner.state.borrow_mut().runq.pop_for(local);
+            if let Some((tid, source)) = popped {
                 let ctx_switch = self.inner.cfg.ctx_switch;
                 {
                     let mut st = self.inner.state.borrow_mut();
-                    st.stats.note_pop(d.source);
+                    st.stats.note_pop(source);
                     st.stats.dispatches += 1;
                     let rec = st.threads.get_mut(tid.0).expect("queued thread missing");
                     debug_assert_eq!(rec.state, TState::Ready);
@@ -442,7 +341,7 @@ impl Marcel {
                 }
                 // More ready threads? Wake another idle core for them.
                 if self.ready_thread_count() > 0 {
-                    self.kick_one_idle();
+                    self.kick_idle_near(None);
                 }
                 return;
             }

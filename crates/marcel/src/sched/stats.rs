@@ -1,7 +1,7 @@
 //! Scheduler activity counters.
 
 use super::Marcel;
-use crate::policy::PopSource;
+use crate::runq::PopSource;
 
 /// Scheduler activity counters (cumulative).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,11 +18,6 @@ pub struct SchedStats {
     pub compute_steals: u64,
     /// Timer callback firings.
     pub timer_ticks: u64,
-    /// Dispatches served from the core's own or its socket's queue
-    /// (cache-warm).
-    pub local_dispatches: u64,
-    /// Dispatches that stole a thread queued for another socket.
-    pub cross_socket_steals: u64,
     /// Dispatches popped from the core's own strict-affinity queue.
     pub pop_core: u64,
     /// Dispatches popped from the core's own socket queue.
@@ -34,19 +29,13 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Tallies where a dispatch was popped from: the full locality mix
-    /// (`pop_*`) plus the legacy local/steal split.
+    /// Tallies where a dispatch was popped from.
     pub(crate) fn note_pop(&mut self, src: PopSource) {
         match src {
             PopSource::Core => self.pop_core += 1,
             PopSource::LocalSocket => self.pop_local_socket += 1,
             PopSource::Node => self.pop_node += 1,
             PopSource::RemoteSocket => self.pop_steal += 1,
-        }
-        match src {
-            PopSource::RemoteSocket => self.cross_socket_steals += 1,
-            PopSource::Core | PopSource::LocalSocket => self.local_dispatches += 1,
-            PopSource::Node => {}
         }
     }
 }

@@ -77,7 +77,7 @@ impl Marcel {
             assert!(rec.disabled > 0, "tasklet_enable without disable");
             rec.disabled -= 1;
         }
-        self.kick_one_idle();
+        self.kick_idle_near(None);
     }
 
     /// Number of executions of a tasklet so far.

@@ -1,23 +1,10 @@
 use super::*;
-use crate::comm::CommStage;
-use crate::policy::SchedPolicyKind;
 use std::cell::Cell;
 
 fn setup(cores: usize) -> (Sim, Marcel) {
     let sim = Sim::new(1);
     let topo = Rc::new(Topology::single_node(cores));
     let m = Marcel::new(sim.clone(), topo, NodeId(0), MarcelConfig::zero_cost());
-    (sim, m)
-}
-
-fn setup_with_policy(cores: usize, policy: SchedPolicyKind) -> (Sim, Marcel) {
-    let sim = Sim::new(1);
-    let topo = Rc::new(Topology::single_node(cores));
-    let cfg = MarcelConfig {
-        policy,
-        ..MarcelConfig::zero_cost()
-    };
-    let m = Marcel::new(sim.clone(), topo, NodeId(0), cfg);
     (sim, m)
 }
 
@@ -49,6 +36,7 @@ fn two_threads_on_two_cores_run_in_parallel() {
     }
     sim.run();
     assert_eq!(t_end.get(), 50, "both should finish at t=50 (parallel)");
+    assert_eq!(m.live_thread_count(), 0);
 }
 
 #[test]
@@ -446,195 +434,6 @@ fn join_via_finished_trigger() {
     assert_eq!(*order.borrow(), vec!["child", "parent"]);
 }
 
-// ----- pluggable policies --------------------------------------------------
-
-#[test]
-fn policy_name_reflects_config() {
-    for kind in SchedPolicyKind::all() {
-        let (_sim, m) = setup_with_policy(2, kind);
-        assert_eq!(m.policy_name(), kind.name());
-    }
-}
-
-#[test]
-fn fifo_policy_dispatches_in_arrival_order() {
-    // Same workload as `priorities_dispatch_high_first`, opposite outcome:
-    // fifo ignores priority, so "low" (spawned first) runs first.
-    let (sim, m) = setup_with_policy(1, SchedPolicyKind::Fifo);
-    let order = Rc::new(std::cell::RefCell::new(Vec::new()));
-    m.spawn("first", Priority::Normal, None, |ctx| async move {
-        ctx.compute(SimDuration::from_micros(1)).await;
-    });
-    for (name, prio) in [("low", Priority::Low), ("high", Priority::High)] {
-        let order = Rc::clone(&order);
-        m.spawn(name, prio, None, move |ctx| async move {
-            order.borrow_mut().push(name);
-            ctx.compute(SimDuration::from_micros(1)).await;
-        });
-    }
-    sim.run();
-    assert_eq!(*order.borrow(), vec!["low", "high"]);
-}
-
-#[test]
-fn all_policies_run_the_basic_workloads() {
-    for kind in SchedPolicyKind::all() {
-        // Parallelism on two cores.
-        let (sim, m) = setup_with_policy(2, kind);
-        let t_end = Rc::new(Cell::new(0u64));
-        for _ in 0..2 {
-            let t_end = Rc::clone(&t_end);
-            m.spawn("t", Priority::Normal, None, move |ctx| async move {
-                ctx.compute(SimDuration::from_micros(50)).await;
-                t_end.set(t_end.get().max(ctx.marcel().sim().now().as_micros()));
-            });
-        }
-        sim.run();
-        assert_eq!(t_end.get(), 50, "{}: parallel on two cores", kind.name());
-        assert_eq!(m.live_thread_count(), 0, "{}: all finish", kind.name());
-
-        // Strict affinity serializes even with a free core.
-        let (sim, m) = setup_with_policy(2, kind);
-        for _ in 0..2 {
-            m.spawn(
-                "pinned",
-                Priority::Normal,
-                Some(CoreId(1)),
-                |ctx| async move {
-                    assert_eq!(ctx.current_core(), Some(CoreId(1)));
-                    ctx.compute(SimDuration::from_micros(10)).await;
-                },
-            );
-        }
-        sim.run();
-        assert_eq!(
-            sim.now().as_micros(),
-            20,
-            "{}: affinity honored",
-            kind.name()
-        );
-
-        // Blocking releases the core.
-        let (sim, m) = setup_with_policy(1, kind);
-        let trig = Trigger::new();
-        let done = Rc::new(Cell::new(false));
-        {
-            let trig = trig.clone();
-            let done = Rc::clone(&done);
-            m.spawn("waiter", Priority::Normal, None, move |ctx| async move {
-                ctx.block_until(&trig, true).await;
-                done.set(true);
-            });
-        }
-        {
-            let trig = trig.clone();
-            m.spawn("worker", Priority::Normal, None, move |ctx| async move {
-                ctx.compute(SimDuration::from_micros(5)).await;
-                trig.fire();
-            });
-        }
-        sim.run();
-        assert!(
-            done.get(),
-            "{}: blocked thread woken and finished",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn vruntime_policy_favors_high_priority_share() {
-    // One core; a Low thread arrives first, a High thread second, both
-    // needing 3×10µs slices with yields in between. Under vruntime the
-    // High thread is charged 4× less per slice, so after Low's first
-    // slice the High thread runs its remaining slices back-to-back.
-    let (sim, m) = setup_with_policy(1, SchedPolicyKind::Vruntime);
-    let ends = Rc::new(std::cell::RefCell::new(Vec::new()));
-    for (name, prio) in [("low", Priority::Low), ("high", Priority::High)] {
-        let ends = Rc::clone(&ends);
-        m.spawn(name, prio, None, move |ctx| async move {
-            for _ in 0..3 {
-                ctx.compute(SimDuration::from_micros(10)).await;
-                ctx.yield_now().await;
-            }
-            ends.borrow_mut()
-                .push((name, ctx.marcel().sim().now().as_micros()));
-        });
-    }
-    sim.run();
-    let ends = ends.borrow();
-    let high_end = ends.iter().find(|(n, _)| *n == "high").unwrap().1;
-    let low_end = ends.iter().find(|(n, _)| *n == "low").unwrap().1;
-    assert!(
-        high_end < low_end,
-        "high must finish first (high={high_end}µs, low={low_end}µs)"
-    );
-    assert_eq!(high_end.max(low_end), 60, "single core: 6 slices total");
-}
-
-#[test]
-fn comm_aware_policy_boosts_near_completion_wakeups() {
-    // Single core. Two threads block on triggers; a busy thread occupies
-    // the core. Both triggers fire non-urgently while the core is busy —
-    // "slow" first, then "xfer". Arrival order (and fifo/hier tie-break)
-    // would run "slow" first; the comm policy sees that "xfer" waits on a
-    // request already in its transfer stage and runs it first.
-    let (sim, m) = setup_with_policy(1, SchedPolicyKind::CommAware);
-    let order = Rc::new(std::cell::RefCell::new(Vec::new()));
-    let t_slow = Trigger::new();
-    let t_xfer = Trigger::new();
-    let mut ids = Vec::new();
-    for (name, trig) in [("slow", t_slow.clone()), ("xfer", t_xfer.clone())] {
-        let order = Rc::clone(&order);
-        ids.push(
-            m.spawn(name, Priority::Normal, None, move |ctx| async move {
-                ctx.block_until(&trig, false).await;
-                order.borrow_mut().push(name);
-                ctx.compute(SimDuration::from_micros(1)).await;
-            }),
-        );
-    }
-    m.spawn("busy", Priority::Normal, None, |ctx| async move {
-        ctx.compute(SimDuration::from_micros(10)).await;
-    });
-    // "xfer" waits on request 7, whose rendezvous data is already flowing.
-    m.comm_wait_begin(ids[1], 7);
-    m.note_req_stage(7, CommStage::Transfer);
-    sim.schedule_in(SimDuration::from_micros(2), move |_| {
-        t_slow.fire();
-        t_xfer.fire();
-    });
-    sim.run();
-    assert_eq!(
-        *order.borrow(),
-        vec!["xfer", "slow"],
-        "near-completion waiter must jump the queue"
-    );
-}
-
-#[test]
-fn custom_policy_via_new_with_policy() {
-    let sim = Sim::new(1);
-    let topo = Rc::new(Topology::single_node(2));
-    let policy = SchedPolicyKind::Fifo.build(2, 1);
-    let m = Marcel::new_with_policy(
-        sim.clone(),
-        topo,
-        NodeId(0),
-        MarcelConfig::zero_cost(),
-        policy,
-    );
-    assert_eq!(m.policy_name(), "fifo");
-    let done = Rc::new(Cell::new(false));
-    let done2 = Rc::clone(&done);
-    m.spawn("t", Priority::Normal, None, move |ctx| async move {
-        ctx.compute(SimDuration::from_micros(1)).await;
-        done2.set(true);
-    });
-    sim.run();
-    assert!(done.get());
-}
-
 #[test]
 fn stats_track_pop_locality_mix() {
     let (sim, m) = setup(2);
@@ -660,10 +459,4 @@ fn stats_track_pop_locality_mix() {
         "pop sources partition the dispatches"
     );
     assert_eq!(s.pop_core, 1, "one strict-affinity dispatch");
-    assert_eq!(
-        s.local_dispatches,
-        s.pop_core + s.pop_local_socket,
-        "legacy counter = core + local-socket"
-    );
-    assert_eq!(s.cross_socket_steals, s.pop_steal);
 }

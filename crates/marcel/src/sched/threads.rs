@@ -1,8 +1,19 @@
 //! Thread lifecycle: spawn, park/unpark, block/wake, yield, finish — and
 //! the load queries PIOMAN consumes.
+//!
+//! Where a ready thread queues and which core is kicked for it (the
+//! zero-fault figure baselines are byte-diffed against these rules):
+//!
+//! * spawn: its pinned core's queue, else the node queue; kick the pinned
+//!   core or any idle one;
+//! * yield: back of the socket it just ran on (cache-warm); no kick, the
+//!   freed core re-scans anyway;
+//! * wakeup: urgent wakeups rise to [`Priority::High`] and jump their
+//!   socket or node queue (§3.2); kick the pinned core, else the idle core
+//!   nearest to where the thread last ran.
 
-use super::{policy_split, Marcel, TState, ThreadRec};
-use crate::policy::{ReadyEvent, StopKind, ThreadView};
+use super::{Marcel, TState, ThreadRec};
+use crate::runq::{prio_idx, Placement, RunQueues};
 use crate::thread::{Priority, ThreadCtx, ThreadId, WaitDispatched};
 use pm2_sim::trace::Category;
 use pm2_sim::{SimDuration, Trigger};
@@ -27,7 +38,7 @@ impl Marcel {
         Fut: Future<Output = ()> + 'static,
     {
         let name = name.into();
-        let (id, hint) = {
+        let id = {
             let mut st = self.inner.state.borrow_mut();
             let id = ThreadId(st.threads.insert(ThreadRec {
                 state: TState::Ready,
@@ -40,17 +51,9 @@ impl Marcel {
                 unpark_permit: false,
                 name: name.clone(),
             }));
-            let view = ThreadView {
-                id,
-                priority,
-                affinity: affinity.map(|c| self.local(c)),
-                last_core: None,
-            };
-            let now = self.inner.sim.now();
-            let (sockets, cps) = self.dims();
-            let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-            policy.enqueue(&pctx, &view, ReadyEvent::Spawn);
-            (id, policy.select_core(&pctx, &view, ReadyEvent::Spawn))
+            let placement = self.placement(&st.runq, affinity, None, false);
+            st.runq.push(id, prio_idx(priority), placement);
+            id
         };
         let marcel = self.clone();
         let ctx = ThreadCtx {
@@ -66,8 +69,37 @@ impl Marcel {
             body(ctx).await;
             marcel.finish_thread(id);
         });
-        self.apply_kick(hint);
+        self.kick_for(affinity, None);
         id
+    }
+
+    /// Where a ready thread queues: its pinned core, else the socket of the
+    /// core it is cache-warm on, else anywhere on the node. `front` jumps
+    /// the socket or node queue.
+    fn placement(
+        &self,
+        runq: &RunQueues,
+        affinity: Option<CoreId>,
+        warm: Option<CoreId>,
+        front: bool,
+    ) -> Placement {
+        match (affinity, warm) {
+            (Some(c), _) => Placement::Core(self.local(c)),
+            (None, Some(c)) => Placement::Socket {
+                socket: runq.socket_of(self.local(c)),
+                front,
+            },
+            (None, None) => Placement::Node { front },
+        }
+    }
+
+    /// Nudges a core towards a thread just queued: its pinned core, else
+    /// the idle core nearest to `near` (any idle core if `None`).
+    fn kick_for(&self, affinity: Option<CoreId>, near: Option<CoreId>) {
+        match affinity {
+            Some(c) => self.schedule_run(c, SimDuration::ZERO),
+            None => self.kick_idle_near(near),
+        }
     }
 
     /// Trigger fired when `thread` finishes.
@@ -169,24 +201,13 @@ impl Marcel {
             };
             rec.state = new_state;
             rec.last_core = Some(core);
-            let view = self.thread_view(thread, rec);
-            let from_core = self.local(core);
-            let reason = if requeue {
-                StopKind::Yield
-            } else {
-                StopKind::Block
-            };
-            {
-                let now = self.inner.sim.now();
-                let (sockets, cps) = self.dims();
-                let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-                policy.stopping(&pctx, &view, reason);
-                if requeue {
-                    // No kick: the freed core re-scans below and yields
-                    // advise `KickHint::None` anyway.
-                    policy.enqueue(&pctx, &view, ReadyEvent::Yield { from_core });
-                }
+            let (priority, affinity) = (rec.priority, rec.affinity);
+            if requeue {
+                // No kick: the freed core re-scans below.
+                let placement = self.placement(&st.runq, affinity, Some(core), false);
+                st.runq.push(thread, prio_idx(priority), placement);
             }
+            let from_core = self.local(core);
             debug_assert_eq!(st.cores[from_core].current, Some(thread));
             st.cores[from_core].current = None;
             core
@@ -199,22 +220,19 @@ impl Marcel {
 
     /// Requeues a blocked thread; `urgent` marks communication events that
     /// "ask MARCEL to schedule it" as soon as they are detected (§3.2).
-    /// Queue priority and core choice are the policy's.
     pub(crate) fn make_ready(&self, thread: ThreadId, urgent: bool) {
-        let hint = {
+        let (affinity, last_core) = {
             let mut st = self.inner.state.borrow_mut();
             let rec = st.threads.get_mut(thread.0).expect("unknown thread");
             debug_assert_eq!(rec.state, TState::Blocked);
             rec.state = TState::Ready;
-            let view = self.thread_view(thread, rec);
-            let now = self.inner.sim.now();
-            let (sockets, cps) = self.dims();
-            let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-            let ev = ReadyEvent::Wakeup { urgent };
-            policy.enqueue(&pctx, &view, ev);
-            policy.select_core(&pctx, &view, ev)
+            let (affinity, last_core) = (rec.affinity, rec.last_core);
+            let priority = if urgent { Priority::High } else { rec.priority };
+            let placement = self.placement(&st.runq, affinity, last_core, urgent);
+            st.runq.push(thread, prio_idx(priority), placement);
+            (affinity, last_core)
         };
-        self.apply_kick(hint);
+        self.kick_for(affinity, last_core);
     }
 
     pub(crate) fn finish_thread(&self, thread: ThreadId) {
@@ -227,13 +245,6 @@ impl Marcel {
             };
             rec.state = TState::Finished;
             let finished = rec.finished.clone();
-            let view = self.thread_view(thread, rec);
-            {
-                let now = self.inner.sim.now();
-                let (sockets, cps) = self.dims();
-                let (policy, pctx) = policy_split(&mut st, now, sockets, cps);
-                policy.stopping(&pctx, &view, StopKind::Finish);
-            }
             if let Some(c) = core {
                 let local = self.inner.topo.local_index(c);
                 st.cores[local].current = None;
@@ -256,7 +267,7 @@ impl Marcel {
             .borrow()
             .cores
             .iter()
-            .filter(|c| c.current.is_none() && c.busy_until <= now)
+            .filter(|c| c.is_idle(now))
             .count()
     }
 
@@ -276,9 +287,9 @@ impl Marcel {
             .count()
     }
 
-    /// Number of threads waiting in the policy's run queues.
+    /// Number of threads waiting in the run queues.
     pub fn ready_thread_count(&self) -> usize {
-        self.inner.state.borrow().policy.queued()
+        self.inner.state.borrow().runq.len()
     }
 
     /// Number of threads not yet finished.

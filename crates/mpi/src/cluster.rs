@@ -20,7 +20,7 @@ pub enum StrategyKind {
     /// Strict FIFO (one frame per pack).
     #[default]
     Fifo,
-    /// Aggregation of small messages ([2]'s optimization).
+    /// Aggregation of small messages (\[2\]'s optimization).
     Aggreg,
     /// Smallest-payload-first reordering.
     ShortestFirst,
@@ -72,17 +72,6 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Selects the Marcel scheduling policy by name (see
-    /// [`pm2_marcel::SchedPolicyKind::from_name`] for accepted names).
-    ///
-    /// # Panics
-    /// Panics on an unknown policy name.
-    pub fn with_sched_policy(mut self, name: &str) -> Self {
-        self.marcel.policy = pm2_marcel::SchedPolicyKind::from_name(name)
-            .unwrap_or_else(|| panic!("unknown scheduling policy {name:?}"));
-        self
-    }
-
     /// The paper's testbed: 2 nodes × dual quad-core, MYRI-10G, with the
     /// given engine.
     pub fn paper_testbed(engine: EngineKind) -> Self {
@@ -320,8 +309,6 @@ impl Cluster {
                     ("hook_sweeps".into(), s.hook_sweeps as f64),
                     ("compute_steals".into(), s.compute_steals as f64),
                     ("timer_ticks".into(), s.timer_ticks as f64),
-                    ("local_dispatches".into(), s.local_dispatches as f64),
-                    ("cross_socket_steals".into(), s.cross_socket_steals as f64),
                     ("pop_core".into(), s.pop_core as f64),
                     ("pop_local_socket".into(), s.pop_local_socket as f64),
                     ("pop_node".into(), s.pop_node as f64),

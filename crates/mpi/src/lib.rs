@@ -23,5 +23,4 @@ pub mod workloads;
 
 pub use cluster::{Cluster, ClusterConfig, StrategyKind};
 pub use comm::{Comm, IAllreduce, IAllreduceSum, IBarrier, IBcast, RESERVED_TAG_BASE};
-pub use pm2_marcel::SchedPolicyKind;
 pub use pm2_rma::{RmaEngine, RmaHandle, Window};

@@ -234,7 +234,7 @@ impl Session {
     ///
     /// The sequential engine calls this inline from `swait`; under the
     /// PIOMAN engine the equivalent scheduling decision is made by the
-    /// driver registry over [`RailDriver`]/[`ShmDriver`].
+    /// driver registry over its rail and shared-memory drivers.
     pub fn progress_unit(&self) -> Progress {
         let verify = self.inner.sim.verify();
         let vnode = verify.set_node(Some(self.inner.node.0));

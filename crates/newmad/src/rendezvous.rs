@@ -7,7 +7,6 @@ use crate::msg::{Tag, WireMsg};
 use crate::session::Session;
 use crate::strategy::PackKind;
 use pioman::PiomReq;
-use pm2_marcel::CommStage;
 use pm2_sim::obs::EventKind;
 use pm2_sim::SimDuration;
 use pm2_topo::NodeId;
@@ -63,7 +62,6 @@ impl Session {
         );
         match matched {
             Some(posted) => {
-                let req_id = posted.req.id();
                 st.note_delivery(src, tag, seq);
                 st.rdv_recvs.insert(
                     (src, rdv),
@@ -76,11 +74,6 @@ impl Session {
                 );
                 st.push_pack(self.inner.node, src, PackKind::Cts { rdv });
                 drop(st);
-                // The receive's handshake is under way: a waiting thread
-                // becomes boost-eligible for comm-aware scheduling.
-                self.inner
-                    .marcel
-                    .note_req_stage(req_id, CommStage::Handshake);
                 self.trace(|| format!("rts {tag} matched, CTS queued"));
                 self.inner.registry.register(tag.0 | 1 << 63, len)
             }
@@ -128,10 +121,6 @@ impl Session {
             Some(self.inner.node.0),
             EventKind::CtsRx { rdv, req: req.id() },
         );
-        // Payload about to move: the send is near completion.
-        self.inner
-            .marcel
-            .note_req_stage(req.id(), CommStage::Transfer);
 
         let reg = self.inner.registry.register(tag.0, data.len());
         // Split over the rails (multirail distribution).
@@ -228,12 +217,6 @@ impl Session {
         );
         recv.chunks[chunk as usize] = Some(data);
         recv.received += 1;
-        // Chunks are landing: the receive is near completion. (Marcel's
-        // signal table is a separate cell, so noting while `st` is
-        // borrowed is fine.)
-        self.inner
-            .marcel
-            .note_req_stage(recv.req.id(), CommStage::Transfer);
         if recv.received == chunks {
             // lint-allow: the entry was borrowed mutably just above
             let recv = st.rdv_recvs.remove(&(src, rdv)).expect("present");

@@ -34,7 +34,7 @@ use crate::msg::WireMsg;
 use crate::session::Session;
 use crate::strategy::PackKind;
 use pioman::PiomReq;
-use pm2_marcel::{CommStage, ThreadCtx};
+use pm2_marcel::ThreadCtx;
 use pm2_sim::obs::EventKind;
 use pm2_sim::SimDuration;
 use pm2_topo::NodeId;
@@ -295,11 +295,10 @@ impl Session {
             let mut st = self.inner.state.borrow_mut();
             match st.rma_ops.get_mut(&op).and_then(|o| {
                 let t = o.target;
-                let r = o.req.id();
-                o.staged.take().map(|s| (t, r, s))
+                o.staged.take().map(|s| (t, s))
             }) {
-                None => None,
-                Some((target, req_id, staged)) => {
+                None => false,
+                Some((target, staged)) => {
                     match staged {
                         StagedOp::Put { win, offset, data } => {
                             if data.len() <= self.inner.cfg.rdv_threshold {
@@ -367,22 +366,17 @@ impl Session {
                             );
                         }
                     }
-                    Some(req_id)
+                    true
                 }
             }
         };
         verify.lock_release("newmad.state");
         verify.set_node(vnode);
-        match injected {
-            Some(req_id) => {
-                // Frames queued: only the remote apply + ack remain.
-                self.inner
-                    .marcel
-                    .note_req_stage(req_id, CommStage::RmaDrain);
-                self.trace(|| format!("rma op {op} injected"));
-                self.inner.cfg.request_registration
-            }
-            None => SimDuration::ZERO,
+        if injected {
+            self.trace(|| format!("rma op {op} injected"));
+            self.inner.cfg.request_registration
+        } else {
+            SimDuration::ZERO
         }
     }
 
@@ -412,17 +406,12 @@ impl Session {
         self.inner.state.borrow().rma_inflight
     }
 
-    /// Waits for op `op` from thread `ctx`, engine-dependently. Marks the
-    /// flushing thread for comm-aware boosting while it waits.
+    /// Waits for op `op` from thread `ctx`, engine-dependently.
     pub async fn rma_wait(&self, ctx: &ThreadCtx, op: u64) {
         let Some(req) = self.rma_op_req(op) else {
             return; // already retired
         };
-        self.inner
-            .marcel
-            .note_req_stage(req.id(), CommStage::RmaFlush);
         self.swait(&req, ctx).await;
-        self.inner.marcel.note_req_done(req.id());
         // Retire result-less entries (self-target put/acc; remote ones
         // were already removed by their ack).
         let mut st = self.inner.state.borrow_mut();

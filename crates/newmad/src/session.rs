@@ -429,10 +429,6 @@ impl Session {
                     },
                 );
                 st.push_pack(own, u.src, PackKind::Cts { rdv: u.rdv });
-                // Handshake answered late: boost-eligible from here on.
-                self.inner
-                    .marcel
-                    .note_req_stage(req.id(), pm2_marcel::CommStage::Handshake);
                 Some(reg)
             } else {
                 st.post_recv(PostedRecv {

@@ -128,7 +128,7 @@ impl Strategy for FifoStrategy {
 }
 
 /// Aggregate consecutive small eager messages to the same destination into
-/// one frame (NewMadeleine's flagship optimization, [2]).
+/// one frame (NewMadeleine's flagship optimization, \[2\]).
 ///
 /// Saves per-frame submission and wire overheads at the cost of slightly
 /// delaying the first message. Control frames and messages to other

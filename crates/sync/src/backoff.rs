@@ -20,7 +20,7 @@ const YIELD_LIMIT: u32 = 1;
 /// Bounded exponential growth factor: `2^min(attempt, cap)`.
 ///
 /// The schedule shared by every backoff in the engine — [`Backoff`] uses
-/// it (with [`SPIN_LIMIT`]) to pace contended spin loops, and the
+/// it (with `SPIN_LIMIT`) to pace contended spin loops, and the
 /// reliability layer's retransmit timers use it to space retries of an
 /// unacknowledged frame.
 #[inline]
