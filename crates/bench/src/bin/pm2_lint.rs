@@ -3,10 +3,12 @@
 //!
 //! Rules:
 //!
-//! 1. **raw-sync** — `std::sync::atomic`, `std::sync::Mutex` and
-//!    `UnsafeCell` may appear only inside `crates/sync/` (the pm2-sync
-//!    primitives shim that the loom lane models). Justified exceptions
-//!    carry `// sync-allow: <reason>` on the same line.
+//! 1. **raw-sync** — no native concurrency under `crates/` outside
+//!    `crates/sync/` (pm2-sync, home of the native reference locks):
+//!    `std::sync`, `Atomic*`, `UnsafeCell` and `std::thread` are
+//!    forbidden, because the engine is a single-threaded simulation and
+//!    every lock or wakeup it models lives in virtual time. Justified
+//!    exceptions carry `// sync-allow: <reason>` on the same line.
 //!
 //! 2. **protocol-panic** — `.unwrap()`, `.expect(`, `panic!`,
 //!    `unreachable!`, `todo!` and `unimplemented!` are forbidden in
@@ -62,7 +64,7 @@ fn raw_sync_hit(line: &str) -> Option<&'static str> {
         return None;
     }
     let code = code_of(line);
-    ["std::sync::atomic", "std::sync::Mutex", "UnsafeCell"]
+    ["std::sync", "Atomic", "UnsafeCell", "std::thread"]
         .into_iter()
         .find(|pat| code.contains(pat))
 }
@@ -95,8 +97,8 @@ fn scan_raw_sync(path: &Path, src: &str, findings: &mut Vec<Finding>) {
                 line: i + 1,
                 rule: "raw-sync",
                 what: format!(
-                    "{pat} outside crates/sync (route through pm2-sync, \
-                     or annotate '// sync-allow: <reason>')"
+                    "{pat}: native concurrency in a simulated engine (model \
+                     it in virtual time, or annotate '// sync-allow: <reason>')"
                 ),
             });
         }
@@ -168,8 +170,8 @@ fn main() {
     let mut files = Vec::new();
     rust_files(&crates, &mut files);
     let mut findings = Vec::new();
-    let sync_prefix = crates.join("sync");
     let newmad_prefix = crates.join("newmad").join("src");
+    let sync_prefix = crates.join("sync");
     for path in &files {
         // The scanner's own pattern literals are not findings.
         if path.ends_with("bench/src/bin/pm2_lint.rs") {
@@ -205,6 +207,9 @@ mod tests {
         assert!(raw_sync_hit("let m = std::sync::Mutex::new(());").is_some());
         assert!(raw_sync_hit("use std::sync::atomic::AtomicUsize;").is_some());
         assert!(raw_sync_hit("cell: UnsafeCell<T>,").is_some());
+        assert!(raw_sync_hit("use std::sync::{Arc, Mutex};").is_some());
+        assert!(raw_sync_hit("static N: AtomicU64 = AtomicU64::new(0);").is_some());
+        assert!(raw_sync_hit("let t = std::thread::spawn(|| ());").is_some());
         assert!(
             raw_sync_hit("let m = std::sync::Mutex::new(()); // sync-allow: test rig").is_none()
         );

@@ -1,4 +1,4 @@
-//! Shared infrastructure for the reproduction binaries and benches.
+//! Shared infrastructure for the reproduction binaries.
 //!
 //! Each binary regenerates one table or figure of the paper (see
 //! `DESIGN.md` §4 for the experiment index):
@@ -14,35 +14,13 @@
 //! * `abl_numa` — progress tasklet on a near vs. a remote socket (§2.3)
 //! * `abl_threshold` — where the rendezvous threshold sits (§2.3)
 //!
-//! The `harness = false` bench `bench_sync` measures the host-side cost of
-//! the native primitives (`pm2-sync`) using [`bench()`]; host-side cost of
-//! the simulator itself is the benchmark's job (`benchmark/`).
+//! Host-side cost of the simulator is the benchmark's job (`benchmark/`).
 
 #![warn(missing_docs)]
 
 pub mod collbench;
 
 use pm2_sim::SimDuration;
-use std::time::Instant;
-
-/// Runs `f` repeatedly and prints mean wall time per iteration.
-///
-/// A fixed-iteration measure-after-warmup loop: crude next to a real
-/// statistics harness, but dependency-free and stable enough to compare
-/// primitives against each other on one host.
-pub fn bench(name: &str, iters: u64, mut f: impl FnMut()) {
-    let warmup = (iters / 10).max(1);
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let total = start.elapsed();
-    let per = total.as_nanos() as f64 / iters as f64;
-    println!("{name:>40}  {per:>12.1} ns/iter   ({iters} iters)");
-}
 
 /// Pretty-prints one table row: label + f64 columns.
 pub fn row(label: &str, cols: &[f64]) -> String {

@@ -553,17 +553,10 @@ impl Pioman {
             if h.consecutive_unproductive < threshold {
                 return;
             }
-            let shift = h
-                .quarantine_level
-                .min(self.inner.cfg.quarantine_max_shift)
-                .min(63);
-            let window = SimDuration::from_nanos(
-                self.inner
-                    .cfg
-                    .quarantine_backoff
-                    .as_nanos()
-                    .saturating_mul(1u64 << shift),
-            );
+            let cfg = &self.inner.cfg;
+            let factor = pm2_sync::exp_factor(h.quarantine_level, cfg.quarantine_max_shift);
+            let window =
+                SimDuration::from_nanos(cfg.quarantine_backoff.as_nanos().saturating_mul(factor));
             let until = now + window;
             h.quarantined_until = Some(until);
             h.quarantine_level += 1;

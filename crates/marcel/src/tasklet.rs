@@ -83,3 +83,85 @@ pub(crate) struct TaskletRec {
     /// Debug label.
     pub(crate) name: String,
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{Marcel, MarcelConfig, TaskletId};
+    use pm2_sim::Sim;
+    use pm2_topo::{NodeId, Topology};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    fn setup(cores: usize) -> (Sim, Marcel) {
+        let sim = Sim::new(1);
+        let topo = Rc::new(Topology::single_node(cores));
+        let m = Marcel::new(sim.clone(), topo, NodeId(0), MarcelConfig::zero_cost());
+        (sim, m)
+    }
+
+    #[test]
+    fn runs_once_per_schedule() {
+        let (sim, m) = setup(2);
+        let hits = Rc::new(Cell::new(0u32));
+        let hits2 = Rc::clone(&hits);
+        let tk = m.create_tasklet("t", move |_| hits2.set(hits2.get() + 1));
+        assert!(m.tasklet_schedule(tk, None));
+        sim.run();
+        assert_eq!((hits.get(), m.tasklet_runs(tk)), (1, 1));
+        // The run cleared the SCHED bit, so the next schedule enqueues again.
+        assert!(m.tasklet_schedule(tk, None));
+        sim.run();
+        assert_eq!((hits.get(), m.tasklet_runs(tk)), (2, 2));
+    }
+
+    #[test]
+    fn coalesces_redundant_schedules() {
+        // Schedules issued while the body runs coalesce into exactly one
+        // more run.
+        let (sim, m) = setup(2);
+        let me: Rc<Cell<Option<TaskletId>>> = Rc::new(Cell::new(None));
+        let enqueued = Rc::new(Cell::new(0u32));
+        let (me2, enqueued2, m2) = (Rc::clone(&me), Rc::clone(&enqueued), m.clone());
+        let tk = m.create_tasklet("t", move |_| {
+            if m2.tasklet_runs(me2.get().unwrap()) == 0 {
+                for _ in 0..10 {
+                    if m2.tasklet_schedule(me2.get().unwrap(), None) {
+                        enqueued2.set(enqueued2.get() + 1);
+                    }
+                }
+            }
+        });
+        me.set(Some(tk));
+        m.tasklet_schedule(tk, None);
+        sim.run();
+        assert_eq!(enqueued.get(), 1);
+        assert_eq!(m.tasklet_runs(tk), 2);
+        assert_eq!(m.stats().tasklet_coalesced, 9);
+    }
+
+    #[test]
+    fn disable_defers_execution() {
+        // Disabling nests: every disable needs its own enable.
+        let (sim, m) = setup(1);
+        let tk = m.create_tasklet("t", |_| {});
+        m.tasklet_disable(tk);
+        m.tasklet_disable(tk);
+        m.tasklet_schedule(tk, None);
+        sim.run();
+        assert_eq!(m.tasklet_runs(tk), 0, "disabled tasklet ran");
+        m.tasklet_enable(tk);
+        sim.run();
+        assert_eq!(m.tasklet_runs(tk), 0, "tasklet ran with one disable left");
+        m.tasklet_enable(tk);
+        sim.run();
+        assert_eq!(m.tasklet_runs(tk), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "tasklet_enable without disable")]
+    fn unbalanced_enable_panics() {
+        let (_sim, m) = setup(1);
+        let tk = m.create_tasklet("t", |_| {});
+        m.tasklet_enable(tk);
+    }
+}

@@ -2,7 +2,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex}; // sync-allow: Waker must be Send + Sync
 use std::task::{Wake, Waker};
 
 /// Identifier of a simulated activity (an async block owned by the sim).

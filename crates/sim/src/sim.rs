@@ -12,7 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::sync::Arc; // sync-allow: Waker must be Send + Sync
 use std::task::{Context, Poll};
 
 /// Handle to the simulation; cheap to clone (reference-counted).

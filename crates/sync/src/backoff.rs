@@ -1,38 +1,18 @@
 //! Exponential backoff for spin loops.
 
-use crate::primitives::{compiler_fence, Ordering};
+use crate::exp_factor;
+use std::sync::atomic::{compiler_fence, Ordering};
 
 /// Maximum exponent before [`Backoff::snooze`] starts yielding to the OS.
-#[cfg(not(loom))]
 const SPIN_LIMIT: u32 = 6;
 /// Maximum exponent; beyond this the backoff saturates.
-#[cfg(not(loom))]
 const YIELD_LIMIT: u32 = 10;
-
-// Under the model checker every spin iteration is a schedule point, so the
-// exponential schedule would only inflate the state space; shrink it to the
-// minimum that still exercises the spin → yield → park escalation.
-#[cfg(loom)]
-const SPIN_LIMIT: u32 = 0;
-#[cfg(loom)]
-const YIELD_LIMIT: u32 = 1;
-
-/// Bounded exponential growth factor: `2^min(attempt, cap)`.
-///
-/// The schedule shared by every backoff in the engine — [`Backoff`] uses
-/// it (with `SPIN_LIMIT`) to pace contended spin loops, and the
-/// reliability layer's retransmit timers use it to space retries of an
-/// unacknowledged frame.
-#[inline]
-pub fn exp_factor(attempt: u32, cap: u32) -> u64 {
-    1u64 << attempt.min(cap).min(63)
-}
 
 /// Exponential backoff helper for contended spin loops.
 ///
 /// Repeatedly failing to acquire a contended atomic wastes inter-core
 /// bandwidth (cache-line ping-pong). `Backoff` spins with
-/// [`std::hint::spin_loop`] an exponentially growing number of times, and —
+/// [`std::hint::spin_loop`] [`exp_factor`]`(step, SPIN_LIMIT)` times, and —
 /// once the contention appears persistent — yields the CPU to the OS
 /// scheduler so another thread (possibly the lock holder) can run.
 ///
@@ -72,9 +52,8 @@ impl Backoff {
     /// retry loops where the other party is guaranteed to be running.
     #[inline]
     pub fn spin(&self) {
-        let step = self.step.get().min(SPIN_LIMIT);
-        for _ in 0..(1u32 << step) {
-            crate::primitives::spin_loop();
+        for _ in 0..exp_factor(self.step.get(), SPIN_LIMIT) {
+            std::hint::spin_loop();
         }
         if self.step.get() <= SPIN_LIMIT {
             self.step.set(self.step.get() + 1);
@@ -91,20 +70,19 @@ impl Backoff {
     pub fn snooze(&self) {
         let step = self.step.get();
         if step <= SPIN_LIMIT {
-            for _ in 0..(1u32 << step) {
-                crate::primitives::spin_loop();
+            for _ in 0..exp_factor(step, SPIN_LIMIT) {
+                std::hint::spin_loop();
             }
         } else {
-            crate::primitives::yield_now();
+            std::thread::yield_now();
         }
         if step <= YIELD_LIMIT {
             self.step.set(step + 1);
         }
     }
 
-    /// Returns `true` once the backoff has escalated past pure spinning;
-    /// callers waiting on a completion should switch to parking
-    /// (see [`crate::EventCount`]) at that point.
+    /// Returns `true` once the backoff has escalated past spinning and
+    /// yielding; a waiter expecting a long wait should park at that point.
     #[inline]
     pub fn is_completed(&self) -> bool {
         self.step.get() > YIELD_LIMIT

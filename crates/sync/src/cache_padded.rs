@@ -6,10 +6,9 @@ use std::ops::{Deref, DerefMut};
 /// Pads and aligns a value to the length of a cache line.
 ///
 /// Two atomics that live on the same cache line ping-pong that line between
-/// cores even when logically independent ("false sharing"). Hot per-core
-/// state in the engine (ticket counters, per-core run-queue heads, NIC
-/// doorbells) is wrapped in `CachePadded` so that each instance owns its
-/// line.
+/// cores even when logically independent ("false sharing"). The two
+/// counters of [`crate::TicketLock`] are wrapped in `CachePadded` so that
+/// each owns its line.
 ///
 /// 128-byte alignment is used on x86-64 and aarch64 because adjacent-line
 /// prefetchers effectively couple pairs of 64-byte lines; 64 bytes is used

@@ -1,9 +1,10 @@
 //! Test-and-test-and-set spinlock with exponential backoff.
 
-use crate::primitives::{AtomicBool, Ordering, UnsafeCell};
 use crate::Backoff;
+use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A light mutual-exclusion lock that busy-waits.
 ///
@@ -25,7 +26,8 @@ use std::ops::{Deref, DerefMut};
 ///
 /// # When *not* to use it
 /// Long critical sections or oversubscribed systems: use a parking mutex.
-/// The `abl_lock` benchmark in `pm2-bench` quantifies this trade-off.
+/// The `abl_lock` experiment in `pm2-bench` quantifies this trade-off in
+/// virtual time.
 ///
 /// # Example
 /// ```

@@ -1,18 +1,19 @@
 //! Fair FIFO ticket spinlock.
 
-use crate::primitives::{AtomicUsize, Ordering, UnsafeCell};
 use crate::{Backoff, CachePadded};
+use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fair spinlock: threads acquire in strict arrival order.
 ///
 /// A plain test-and-set lock ([`crate::SpinLock`]) lets a core that just
 /// released the lock immediately re-acquire it (its cache still owns the
-/// line), starving remote waiters. Request-submission serialization in the
-/// engine wants fairness between communication flows, so the NIC doorbell
-/// path uses a ticket lock: `next_ticket` is fetch-incremented on entry and
-/// each waiter spins until `now_serving` equals its ticket.
+/// line), starving remote waiters. Where fairness between communication
+/// flows matters, a ticket lock serves them in order: `next_ticket` is
+/// fetch-incremented on entry and each waiter spins until `now_serving`
+/// equals its ticket.
 ///
 /// The two counters live on separate cache lines ([`CachePadded`]) so that
 /// arriving threads (writing `next_ticket`) do not disturb spinning threads
