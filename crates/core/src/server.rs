@@ -8,7 +8,7 @@
 
 use crate::config::{LockModel, PiomanConfig};
 use crate::req::PiomReq;
-use pm2_marcel::{HookResult, Marcel, Priority, TaskletId, ThreadCtx, ThreadId};
+use pm2_marcel::{HookResult, IdleHook, Marcel, Priority, TaskletId, ThreadCtx, ThreadId};
 use pm2_sim::obs::EventKind;
 use pm2_sim::trace::Category;
 use pm2_sim::{Sim, SimDuration, SimTime, Site, Trigger};
@@ -104,6 +104,10 @@ pub trait ProgressDriver {
     /// (models the completion of a blocking receive syscall). `None` if
     /// the hardware cannot wake a blocked thread.
     fn hw_trigger(&self) -> Option<Trigger>;
+    /// `polls` unproductive [`ProgressDriver::progress`] calls were
+    /// computed instead of made (an idle core was parked on the
+    /// doorbell): count them as made. Only counters may change.
+    fn credit_polls(&self, _polls: u64) {}
 }
 
 /// A per-application-thread injection queue: the "progress for all"
@@ -197,7 +201,8 @@ impl InjectionEndpoint {
 pub struct PiomanStats {
     /// Progress calls made inline by waiting threads.
     pub inline_progress: u64,
-    /// Progress calls made from the idle hook.
+    /// Progress calls made from the idle hook. The polls of a parked core
+    /// (see `pm2_marcel::HookResult::Idle`) are added when it wakes.
     pub hook_progress: u64,
     /// Progress calls made from the progress tasklet.
     pub tasklet_progress: u64,
@@ -248,6 +253,23 @@ struct Inner {
     /// The dedicated progress thread, when
     /// [`PiomanConfig::progress_thread`] is set.
     progress_thread: Cell<Option<ThreadId>>,
+    /// Drivers the last completion-poll sweep polled, in order.
+    polled: RefCell<Vec<usize>>,
+    /// The last idle-hook poll that parked its core: the driver it named
+    /// and the drivers it polled. Every parked core's computed polls
+    /// repeat it (the state it read has not changed, or the doorbell
+    /// would have rung).
+    idle_poll: RefCell<(Option<DriverId>, Vec<usize>)>,
+}
+
+/// One serialized progress step (see [`Pioman::locked_progress`]).
+struct Pass {
+    p: Progress,
+    who: Option<DriverId>,
+    /// The step changed nothing but counters, and its outcome depends on
+    /// nothing but state whose changes ring the doorbell: repeating it
+    /// would give the same result.
+    pure: bool,
 }
 
 /// Handle to one node's PIOMAN server (cheap to clone).
@@ -299,6 +321,8 @@ impl Pioman {
             stats: RefCell::new(PiomanStats::default()),
             endpoint_rank: Cell::new(0),
             progress_thread: Cell::new(None),
+            polled: RefCell::new(Vec::new()),
+            idle_poll: RefCell::new((None, Vec::new())),
         });
         let pioman = Pioman {
             inner: Rc::clone(&inner),
@@ -310,7 +334,7 @@ impl Pioman {
         let tasklet = marcel.create_tasklet("pioman-progress", move |run| {
             let Some(inner) = weak.upgrade() else { return };
             let pioman = Pioman { inner };
-            let (p, who) = pioman.locked_progress(CallSite::Tasklet);
+            let Pass { p, who, .. } = pioman.locked_progress(CallSite::Tasklet);
             if p.did_work {
                 if let Some(DriverId(i)) = who {
                     run.note_shard(i as u32);
@@ -327,27 +351,8 @@ impl Pioman {
 
         // Idle hook: "Marcel schedules PIOMAN each time a core is idle".
         if inner.cfg.idle_poll {
-            let weak = Rc::downgrade(&inner);
-            marcel.register_idle_hook(move |_, _core| {
-                let Some(inner) = weak.upgrade() else {
-                    return HookResult::Nothing;
-                };
-                let pioman = Pioman { inner };
-                let pending = pioman.drivers_pending();
-                if !pending.any() {
-                    return HookResult::Nothing;
-                }
-                let (p, who) = pioman.locked_progress(CallSite::Hook);
-                if p.cost.is_zero() && !p.did_work {
-                    HookResult::Armed
-                } else if let (true, Some(DriverId(i))) = (p.did_work, who) {
-                    HookResult::WorkedOn {
-                        cost: p.cost,
-                        shard: i as u32,
-                    }
-                } else {
-                    HookResult::Worked(p.cost)
-                }
+            marcel.register_idle_hook(IdleProgress {
+                inner: Rc::downgrade(&inner),
             });
         }
 
@@ -389,7 +394,7 @@ impl Pioman {
                             ctx.park().await;
                             continue;
                         }
-                        let (p, _) = pioman.locked_progress(CallSite::Thread);
+                        let Pass { p, .. } = pioman.locked_progress(CallSite::Thread);
                         let carried = pioman.inner.carried_cost.replace(SimDuration::ZERO);
                         let pause = pioman.inner.cfg.inline_poll_pause;
                         let productive = p.did_work;
@@ -419,8 +424,11 @@ impl Pioman {
     /// them in the order sources should be scanned (e.g. NIC rails
     /// first, shared memory last).
     pub fn attach_driver(&self, driver: Rc<dyn ProgressDriver>) -> DriverId {
-        let mut drivers = self.inner.drivers.borrow_mut();
-        drivers.push(Some(driver));
+        let id = {
+            let mut drivers = self.inner.drivers.borrow_mut();
+            drivers.push(Some(driver));
+            DriverId(drivers.len() - 1)
+        };
         self.inner
             .driver_stats
             .borrow_mut()
@@ -429,7 +437,8 @@ impl Pioman {
             .driver_health
             .borrow_mut()
             .push(DriverHealth::default());
-        DriverId(drivers.len() - 1)
+        self.inner.marcel.wake_parked();
+        id
     }
 
     /// Creates a per-application-thread [`InjectionEndpoint`] and
@@ -454,14 +463,17 @@ impl Pioman {
     /// drivers are unchanged). Returns false if `id` was already
     /// detached or never existed.
     pub fn detach_driver(&self, id: DriverId) -> bool {
-        let mut drivers = self.inner.drivers.borrow_mut();
-        match drivers.get_mut(id.0) {
+        let detached = match self.inner.drivers.borrow_mut().get_mut(id.0) {
             Some(slot @ Some(_)) => {
                 *slot = None;
                 true
             }
             _ => false,
+        };
+        if detached {
+            self.inner.marcel.wake_parked();
         }
+        detached
     }
 
     /// Number of currently attached drivers.
@@ -541,17 +553,21 @@ impl Pioman {
     /// quarantine window (doubling per consecutive quarantine) with a
     /// probe scheduled at expiry so the driver is re-polled even on an
     /// otherwise idle node.
-    fn note_driver_timeout(&self, pos: usize) {
+    ///
+    /// Returns true if health tracking is on (the poll was counted).
+    fn note_driver_timeout(&self, pos: usize) -> bool {
         let Some(threshold) = self.inner.cfg.quarantine_after else {
-            return;
+            return false;
         };
         let now = self.inner.sim.now();
         let until = {
             let mut health = self.inner.driver_health.borrow_mut();
-            let Some(h) = health.get_mut(pos) else { return };
+            let Some(h) = health.get_mut(pos) else {
+                return false;
+            };
             h.consecutive_unproductive += 1;
             if h.consecutive_unproductive < threshold {
-                return;
+                return true;
             }
             let cfg = &self.inner.cfg;
             let factor = pm2_sync::exp_factor(h.quarantine_level, cfg.quarantine_max_shift);
@@ -579,6 +595,7 @@ impl Pioman {
                 }
             }
         });
+        true
     }
 
     /// True while driver `pos` sits in an unexpired quarantine window.
@@ -632,6 +649,8 @@ impl Pioman {
     /// nearby idle core (cache locality) and its invocation from a
     /// different core costs the 2 µs cross-CPU penalty measured in §4.1.
     pub fn notify_work(&self, origin: Option<CoreId>) {
+        // Parked cores must see the new work at their next grid instant.
+        self.inner.marcel.wake_parked();
         if let Some(t) = self.inner.tasklet.get() {
             self.inner.marcel.tasklet_schedule(t, origin);
         }
@@ -666,11 +685,14 @@ impl Pioman {
     /// ends the sweep (the unproductive scan costs of the drivers before
     /// it are discarded — scanning an empty source is free). If nobody
     /// worked, the sweep charges the most expensive unproductive poll.
-    fn registry_progress(&self) -> (Progress, Option<DriverId>) {
+    ///
+    /// Also returns whether an unproductive poll wrote shared state
+    /// (health tracking).
+    fn registry_progress(&self) -> (Progress, Option<DriverId>, bool) {
         let drivers: Vec<Option<Rc<dyn ProgressDriver>>> = self.inner.drivers.borrow().clone();
         let n = drivers.len();
         if n == 0 {
-            return (Progress::NONE, None);
+            return (Progress::NONE, None, false);
         }
         let pendings: Vec<DriverPending> = drivers
             .iter()
@@ -702,7 +724,7 @@ impl Pioman {
                 st.max_submission_burst = st.max_submission_burst.max(burst as u64);
                 drop(st);
                 self.inner.sub_rotor.set((pos + 1) % n);
-                return (p, Some(DriverId(pos)));
+                return (p, Some(DriverId(pos)), true);
             }
         }
         self.inner.submission_burst.set(0);
@@ -711,6 +733,9 @@ impl Pioman {
         let rotor = self.inner.rotor.get();
         let mut worst = SimDuration::ZERO;
         let mut worst_pos = None;
+        // Resetting a full burst re-enables submissions: a write.
+        let mut wrote = burst != 0;
+        self.inner.polled.borrow_mut().clear();
         for k in 0..n {
             let pos = (rotor + k) % n;
             if !pendings[pos].armed {
@@ -722,13 +747,14 @@ impl Pioman {
             if self.driver_quarantined(pos) {
                 continue;
             }
+            self.inner.polled.borrow_mut().push(pos);
             let p = drivers[pos].as_ref().unwrap().progress();
             if p.did_work {
                 self.note_driver_work(pos);
                 self.inner.rotor.set((pos + 1) % n);
-                return (p, Some(DriverId(pos)));
+                return (p, Some(DriverId(pos)), true);
             }
-            self.note_driver_timeout(pos);
+            wrote |= self.note_driver_timeout(pos);
             if p.cost > worst {
                 worst = p.cost;
                 worst_pos = Some(pos);
@@ -740,11 +766,14 @@ impl Pioman {
                 did_work: false,
             },
             worst_pos.map(DriverId),
+            wrote,
         )
     }
 
-    /// One serialized progress step, honouring the lock model.
-    fn locked_progress(&self, site: CallSite) -> (Progress, Option<DriverId>) {
+    /// One serialized progress step, honouring the lock model. A
+    /// productive step rings [`Marcel::wake_parked`]: it changed what the
+    /// parked cores' sweeps would read.
+    fn locked_progress(&self, site: CallSite) -> Pass {
         let now = self.inner.sim.now();
         let lock_cost = match self.inner.cfg.lock_model {
             LockModel::PerEventSpinlock => self.inner.cfg.spinlock_cost,
@@ -752,13 +781,14 @@ impl Pioman {
                 if now < self.inner.lock_held_until.get() {
                     // Someone else is inside the library: spin and retry.
                     self.inner.stats.borrow_mut().lock_contentions += 1;
-                    return (
-                        Progress {
+                    return Pass {
+                        p: Progress {
                             cost: self.inner.cfg.mutex_spin_cost,
                             did_work: false,
                         },
-                        None,
-                    );
+                        who: None,
+                        pure: false,
+                    };
                 }
                 self.inner.cfg.spinlock_cost
             }
@@ -771,7 +801,7 @@ impl Pioman {
         // The registry walk is the serialized section the paper's per-event
         // spinlock / global mutex protects.
         self.inner.sim.verify().lock_acquire("pioman.registry");
-        let (p, who) = self.registry_progress();
+        let (p, who, wrote) = self.registry_progress();
         self.inner.sim.verify().lock_release("pioman.registry");
         self.inner.sim.verify().set_site(prev_vsite);
         self.inner.sim.obs().set_site(prev_site);
@@ -781,7 +811,10 @@ impl Pioman {
         } else {
             p.cost + lock_cost
         };
-        if self.inner.cfg.lock_model == LockModel::GlobalMutex && !cost.is_zero() {
+        // The global mutex is read against the clock on every pass, so no
+        // pass under it is pure.
+        let global = self.inner.cfg.lock_model == LockModel::GlobalMutex;
+        if global && !cost.is_zero() {
             self.inner.lock_held_until.set(now + cost);
         }
         {
@@ -820,13 +853,17 @@ impl Pioman {
         self.inner.sim.trace().emit_with(now, Category::Pioman, || {
             format!("progress cost={} did_work={}", cost, p.did_work)
         });
-        (
-            Progress {
+        if p.did_work {
+            self.inner.marcel.wake_parked();
+        }
+        Pass {
+            p: Progress {
                 cost,
                 did_work: p.did_work,
             },
             who,
-        )
+            pure: !p.did_work && !wrote && !global,
+        }
     }
 
     /// One trigger that fires when *any* attached driver's hardware has
@@ -932,7 +969,7 @@ impl Pioman {
                 self.inner.sim.verify().observe_complete(reqs[i].id());
                 return i;
             }
-            let (p, _) = self.locked_progress(CallSite::Inline);
+            let Pass { p, .. } = self.locked_progress(CallSite::Inline);
             if !p.cost.is_zero() {
                 ctx.compute(p.cost).await;
             }
@@ -973,7 +1010,7 @@ impl Pioman {
                 self.inner.sim.verify().observe_complete(req.id());
                 return;
             }
-            let (p, _) = self.locked_progress(CallSite::Inline);
+            let Pass { p, .. } = self.locked_progress(CallSite::Inline);
             if !p.cost.is_zero() {
                 ctx.compute(p.cost).await;
             }
@@ -991,6 +1028,58 @@ impl Pioman {
                 // No one else will ever poll: busy-wait like a classical
                 // MPI implementation.
                 ctx.compute(self.inner.cfg.inline_poll_pause).await;
+            }
+        }
+    }
+}
+
+/// PIOMAN's idle hook: one progress step per sweep of an idle core.
+struct IdleProgress {
+    inner: Weak<Inner>,
+}
+
+impl IdleHook for IdleProgress {
+    fn poll(&self, _marcel: &Marcel, _core: CoreId) -> HookResult {
+        let Some(inner) = self.inner.upgrade() else {
+            return HookResult::Nothing;
+        };
+        let pioman = Pioman { inner };
+        if !pioman.drivers_pending().any() {
+            return HookResult::Nothing;
+        }
+        let Pass { p, who, pure } = pioman.locked_progress(CallSite::Hook);
+        if pure {
+            let polled = pioman.inner.polled.borrow();
+            let mut idle = pioman.inner.idle_poll.borrow_mut();
+            idle.0 = who;
+            idle.1.clone_from(&polled);
+            HookResult::Idle(p.cost)
+        } else if let (true, Some(DriverId(i))) = (p.did_work, who) {
+            HookResult::WorkedOn {
+                cost: p.cost,
+                shard: i as u32,
+            }
+        } else {
+            HookResult::Worked(p.cost)
+        }
+    }
+
+    /// Replays the counters of `sweeps` repeats of the last parking poll.
+    fn skipped(&self, sweeps: u64) {
+        let Some(inner) = self.inner.upgrade() else {
+            return;
+        };
+        inner.stats.borrow_mut().hook_progress += sweeps;
+        let idle = inner.idle_poll.borrow();
+        if let Some(DriverId(i)) = idle.0 {
+            if let Some(st) = inner.driver_stats.borrow_mut().get_mut(i) {
+                st.hook_progress += sweeps;
+            }
+        }
+        let drivers = inner.drivers.borrow();
+        for &pos in &idle.1 {
+            if let Some(Some(d)) = drivers.get(pos) {
+                d.credit_polls(sweeps);
             }
         }
     }
@@ -1015,6 +1104,9 @@ mod tests {
         work: RefCell<VecDeque<(SimDuration, Option<PiomReq>)>>,
         armed: RefCell<Vec<(SimTime, PiomReq)>>,
         hw: RefCell<Option<Trigger>>,
+        /// Rung when an armed request becomes detectable, as a NIC's
+        /// receive interrupt would.
+        doorbell: RefCell<Option<Marcel>>,
     }
 
     impl FakeDriver {
@@ -1031,7 +1123,15 @@ mod tests {
                 work: RefCell::new(VecDeque::new()),
                 armed: RefCell::new(Vec::new()),
                 hw: RefCell::new(None),
+                doorbell: RefCell::new(None),
             })
+        }
+
+        /// Registers with `pioman`, ringing its scheduler's doorbell when
+        /// armed requests become detectable.
+        fn attach(self: &Rc<Self>, pioman: &Pioman) -> DriverId {
+            *self.doorbell.borrow_mut() = Some(pioman.marcel().clone());
+            pioman.attach_driver(self.clone() as Rc<dyn ProgressDriver>)
         }
 
         fn push_work(&self, cost: SimDuration, req: Option<PiomReq>) {
@@ -1041,6 +1141,9 @@ mod tests {
         /// Arm a request that becomes detectable at `at`.
         fn arm(&self, at: SimTime, req: PiomReq) {
             self.armed.borrow_mut().push((at, req));
+            if let Some(m) = self.doorbell.borrow().clone() {
+                self.sim.schedule_at(at, move |_| m.doorbell());
+            }
         }
     }
 
@@ -1095,7 +1198,7 @@ mod tests {
         let marcel = Marcel::new(sim.clone(), topo, NodeId(0), MarcelConfig::zero_cost());
         let pioman = Pioman::new(&marcel, cfg);
         let driver = FakeDriver::new(&sim);
-        pioman.attach_driver(driver.clone() as Rc<dyn ProgressDriver>);
+        driver.attach(&pioman);
         (sim, marcel, pioman, driver)
     }
 
@@ -1330,7 +1433,7 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..n {
             let d = FakeDriver::with_id(&sim, i, Rc::clone(&log));
-            ids.push(pioman.attach_driver(d.clone() as Rc<dyn ProgressDriver>));
+            ids.push(d.attach(&pioman));
             drivers.push(d);
         }
         (sim, marcel, pioman, drivers, ids, log)
@@ -1657,7 +1760,7 @@ mod tests {
             }) as Rc<dyn ProgressDriver>);
         }
         let victim = FakeDriver::new(&sim);
-        pioman.attach_driver(victim.clone() as Rc<dyn ProgressDriver>);
+        victim.attach(&pioman);
         let req = PiomReq::new(&sim, "recv");
         victim.arm(SimTime::from_micros(2), req.clone());
         let done = Rc::new(Cell::new(0u64));

@@ -405,16 +405,15 @@ impl<P: 'static> Nic<P> {
         self.rx.borrow_mut().push_back(frame);
         // Wake any blocking call waiting on this NIC.
         self.rx_trigger.borrow().fire();
-        // Notify the driver (stands in for the doorbell a continuously
-        // polling idle core would observe immediately).
+        // Notify the driver: the doorbell polling idle cores observe.
         if let Some(cb) = self.rx_callback.borrow().as_ref() {
             cb();
         }
     }
 
     /// Installs a callback invoked at every frame delivery. The driver
-    /// uses it to nudge idle cores — the simulation-friendly equivalent of
-    /// their continuous busy-poll observing the doorbell.
+    /// uses it to ring its node's doorbell: polling cores observe the
+    /// frame at their next poll, idle ones are nudged.
     pub fn set_rx_callback(&self, cb: impl Fn() + 'static) {
         *self.rx_callback.borrow_mut() = Some(Box::new(cb));
     }
@@ -424,6 +423,13 @@ impl<P: 'static> Nic<P> {
     pub fn rx_poll(&self) -> Option<Frame<P>> {
         self.counters.borrow_mut().polls += 1;
         self.rx.borrow_mut().pop_front()
+    }
+
+    /// Counts `n` polls that found the receive queue empty without
+    /// making them (a parked idle core's computed polling; see
+    /// `pm2_marcel::HookResult::Idle`).
+    pub fn credit_polls(&self, n: u64) {
+        self.counters.borrow_mut().polls += n;
     }
 
     /// True if a frame is waiting (free to check: doorbell in host memory).

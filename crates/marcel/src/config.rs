@@ -19,9 +19,12 @@ pub struct MarcelConfig {
     pub tasklet_invoke_same_socket: SimDuration,
     /// Tasklet invocation cost when the scheduling core runs it itself.
     pub tasklet_invoke_local: SimDuration,
-    /// How often an idle core re-runs the idle hooks while any of them is
-    /// armed (the busy-wait granularity of "leaving a core idle boils down
-    /// to a busy waiting", §3.2).
+    /// How often an idle core re-runs the idle hooks while one of them is
+    /// awaiting events but its poll costs no CPU time (a poll that costs
+    /// time re-runs once that time has passed): the busy-wait granularity
+    /// of "leaving a core idle boils down to a busy waiting", §3.2. The
+    /// grid is modelled exactly but computed, not simulated: see
+    /// [`crate::HookResult::Idle`].
     pub idle_poll_period: SimDuration,
     /// Period of the scheduler timer tick, used to trigger PIOMAN when no
     /// core is idle. `None` disables the tick.

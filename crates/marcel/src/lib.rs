@@ -11,7 +11,10 @@
 //!   scheduler reaches a point where it is safe to let them run".
 //! * **Idle hooks** — callbacks invoked whenever a core has nothing to run,
 //!   so PIOMAN can "fill the gap left by the thread scheduler" with
-//!   communication progress (§4.3).
+//!   communication progress (§4.3). A core whose hooks poll without
+//!   finding work parks until [`Marcel::doorbell`] or
+//!   [`Marcel::wake_parked`] reports a change; its polling is computed,
+//!   not simulated ([`HookResult::Idle`]).
 //! * **Triggers** — periodic timers and explicit kicks, the other two
 //!   occasions on which Marcel schedules PIOMAN ("CPU idleness, context
 //!   switches, timer interrupts").
@@ -38,6 +41,6 @@ mod tasklet;
 mod thread;
 
 pub use config::MarcelConfig;
-pub use sched::{HookResult, Marcel, SchedStats, TimerId};
+pub use sched::{HookResult, IdleHook, Marcel, SchedStats, TimerId};
 pub use tasklet::{TaskletId, TaskletRun};
 pub use thread::{Priority, ThreadCtx, ThreadId};

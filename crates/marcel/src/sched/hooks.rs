@@ -13,11 +13,19 @@ use std::rc::Rc;
 pub enum HookResult {
     /// Nothing to do and nothing expected: the core may truly sleep.
     Nothing,
-    /// Nothing to do right now, but events are being awaited: keep polling
-    /// (the "busy waiting" of §3.2).
-    Armed,
-    /// Work was performed, consuming the given CPU time; re-check
-    /// immediately afterwards.
+    /// An unproductive poll that charged the given CPU time and changed
+    /// nothing but counters; events are being awaited, so the core keeps
+    /// polling (the "busy waiting" of §3.2). Because the poll is pure,
+    /// the core *parks*: its polling grid (one sweep every `cost`, or
+    /// every [`crate::MarcelConfig::idle_poll_period`] if `cost` is zero)
+    /// is computed, not simulated, until [`Marcel::doorbell`] or
+    /// [`Marcel::wake_parked`] reports a change (see
+    /// [`IdleHook::skipped`]). A poll that wrote shared state (took a
+    /// lock, counted towards a quarantine) must report
+    /// [`HookResult::Worked`] instead.
+    Idle(SimDuration),
+    /// Work was performed (or shared state written), consuming the given
+    /// CPU time; re-check immediately afterwards.
     Worked(SimDuration),
     /// Like [`HookResult::Worked`], additionally naming which shard of
     /// the hook's backend did the work (e.g. which PIOMAN progress
@@ -30,60 +38,90 @@ pub enum HookResult {
     },
 }
 
-/// A registered idle hook (shared so a sweep can run hooks unborrowed).
-pub(crate) type IdleHook = Rc<dyn Fn(&Marcel, CoreId) -> HookResult>;
+/// A polling site run by idle cores. Closures
+/// `Fn(&Marcel, CoreId) -> HookResult` implement it with a no-op
+/// [`IdleHook::skipped`].
+pub trait IdleHook {
+    /// Polls once on `core`.
+    fn poll(&self, marcel: &Marcel, core: CoreId) -> HookResult;
+
+    /// `sweeps` polls that would each have returned [`HookResult::Idle`]
+    /// were computed instead of run (the core was parked): account for
+    /// them as if they had run.
+    fn skipped(&self, _sweeps: u64) {}
+}
+
+impl<F: Fn(&Marcel, CoreId) -> HookResult> IdleHook for F {
+    fn poll(&self, marcel: &Marcel, core: CoreId) -> HookResult {
+        self(marcel, core)
+    }
+}
+
+/// What one sweep over every hook found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sweep {
+    /// Every hook returned [`HookResult::Nothing`].
+    Nothing,
+    /// Some hook is awaiting events and none did work: the core parks.
+    Idle(SimDuration),
+    /// Some hook worked: poll again after `cost` (in real events).
+    Worked(SimDuration),
+}
+
+/// The registered hooks, snapshotted so a sweep runs them unborrowed
+/// without copying the list.
+pub(crate) type Hooks = Rc<[Rc<dyn IdleHook>]>;
 
 impl Marcel {
     /// Registers an idle hook, called whenever a core runs out of work.
-    pub fn register_idle_hook(&self, hook: impl Fn(&Marcel, CoreId) -> HookResult + 'static) {
-        self.inner.state.borrow_mut().hooks.push(Rc::new(hook));
+    pub fn register_idle_hook(&self, hook: impl IdleHook + 'static) {
+        let mut st = self.inner.state.borrow_mut();
+        let mut hooks: Vec<Rc<dyn IdleHook>> = st.hooks.iter().cloned().collect();
+        hooks.push(Rc::new(hook));
+        st.hooks = hooks.into();
+        drop(st);
+        self.wake_parked();
     }
 
-    /// Runs every registered hook once on `core`; returns the total CPU
-    /// cost charged and whether any hook stayed armed.
-    pub(crate) fn hook_sweep(&self, core: CoreId, now: SimTime) -> (SimDuration, bool) {
-        let hooks: Vec<IdleHook> = {
+    /// Runs every registered hook once on `core` and folds the results.
+    pub(crate) fn hook_sweep(&self, core: CoreId, now: SimTime) -> Sweep {
+        let hooks = {
             let mut st = self.inner.state.borrow_mut();
             st.stats.hook_sweeps += 1;
-            st.hooks.clone()
+            Rc::clone(&st.hooks)
         };
-        let mut cost = SimDuration::ZERO;
-        let mut armed = false;
-        for hook in hooks {
-            match hook(self, core) {
-                HookResult::Nothing => {}
-                HookResult::Armed => armed = true,
-                HookResult::Worked(c) => {
-                    armed = true;
-                    cost += c;
-                    self.inner.sim.obs().emit(
-                        now,
-                        Some(self.node().0),
-                        EventKind::HookWork {
-                            core: core.0,
-                            shard: None,
-                            cost: c.as_nanos(),
-                        },
-                    );
+        let mut idle = None;
+        let mut worked = None;
+        for hook in hooks.iter() {
+            let (c, shard) = match hook.poll(self, core) {
+                HookResult::Nothing => continue,
+                HookResult::Idle(c) => {
+                    idle = Some(idle.unwrap_or(SimDuration::ZERO) + c);
+                    continue;
                 }
-                HookResult::WorkedOn { cost: c, shard } => {
-                    armed = true;
-                    cost += c;
-                    let mut st = self.inner.state.borrow_mut();
-                    bump_shard(&mut st.hook_shard_work, shard);
-                    drop(st);
-                    self.inner.sim.obs().emit(
-                        now,
-                        Some(self.node().0),
-                        EventKind::HookWork {
-                            core: core.0,
-                            shard: Some(shard as usize),
-                            cost: c.as_nanos(),
-                        },
-                    );
+                HookResult::Worked(c) => (c, None),
+                HookResult::WorkedOn { cost, shard } => {
+                    bump_shard(&mut self.inner.state.borrow_mut().hook_shard_work, shard);
+                    (cost, Some(shard as usize))
                 }
-            }
+            };
+            worked = Some(worked.unwrap_or(SimDuration::ZERO) + c);
+            self.inner.sim.obs().emit(
+                now,
+                Some(self.node().0),
+                EventKind::HookWork {
+                    core: core.0,
+                    shard,
+                    cost: c.as_nanos(),
+                },
+            );
         }
-        (cost, armed)
+        match (worked, idle) {
+            // An unproductive poll beside a productive one is charged
+            // too; the core polls again in real events either way.
+            (Some(w), i) => Sweep::Worked(w + i.unwrap_or(SimDuration::ZERO)),
+            (None, Some(i)) => Sweep::Idle(i),
+            (None, None) => Sweep::Nothing,
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! * [`threads`] — thread lifecycle (spawn, block/wake, yield, finish)
 //!   and the placement and kick rules of ready threads;
 //! * [`tasklets`] — tasklet scheduling and execution;
-//! * [`hooks`] — idle hooks (PIOMAN's polling sites);
+//! * [`hooks`] — idle hooks (PIOMAN's polling sites) and the parked
+//!   state of a core whose hooks poll without finding work;
 //! * [`timers`] — periodic timers;
 //! * [`stats`] — activity counters.
 
@@ -17,7 +18,7 @@ mod tests;
 mod threads;
 mod timers;
 
-pub use hooks::HookResult;
+pub use hooks::{HookResult, IdleHook};
 pub use stats::SchedStats;
 pub use timers::TimerId;
 
@@ -25,9 +26,9 @@ use crate::config::MarcelConfig;
 use crate::runq::RunQueues;
 use crate::tasklet::{TaskletId, TaskletRec};
 use crate::thread::{Priority, ThreadId};
-use hooks::IdleHook;
+use hooks::{Hooks, Sweep};
 use pm2_sim::trace::Category;
-use pm2_sim::{Sim, SimDuration, SimTime, Slab, TimerHandle, Trigger};
+use pm2_sim::{Sim, SimDuration, SimTime, Slab, TimerHandle, Trigger, VirtualEvent};
 use pm2_topo::{CoreId, NodeId, Topology};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -62,12 +63,41 @@ pub(crate) struct Core {
     pub(crate) busy_until: SimTime,
     /// Earliest pending `run_core` event, for deduplication.
     pub(crate) scheduled_run: Option<(SimTime, TimerHandle)>,
+    /// Set while the core polls idle hooks that find nothing: its sweeps
+    /// are a virtual periodic event instead of real `run_core` events.
+    pub(crate) parked: Option<Parked>,
+}
+
+/// A parked core: the grid of sweeps it would run, and what each one
+/// charges.
+pub(crate) struct Parked {
+    /// The next virtual sweep; its `(time, seq)` slot is the core's place
+    /// among same-instant events.
+    pub(crate) sweeps: VirtualEvent,
+    /// CPU time each sweep charges (zero: the core stays idle between
+    /// sweeps, which come every `idle_poll_period`).
+    pub(crate) cost: SimDuration,
 }
 
 impl Core {
     /// True if the core has neither a thread nor in-flight work at `now`.
-    pub(crate) fn is_idle(&self, now: SimTime) -> bool {
-        self.current.is_none() && self.busy_until <= now
+    /// A parked core shows what its polling would: busy until its next
+    /// sweep when sweeps cost CPU time, idle otherwise.
+    pub(crate) fn is_idle(&self, sim: &Sim, now: SimTime) -> bool {
+        self.current.is_none() && self.polled_busy_until(sim) <= now
+    }
+
+    /// `busy_until` as the polling core would show it.
+    fn polled_busy_until(&self, sim: &Sim) -> SimTime {
+        match &self.parked {
+            Some(p) if !p.cost.is_zero() => sim.virtual_next(&p.sweeps),
+            _ => self.busy_until,
+        }
+    }
+
+    /// True if a `run_core` is pending (a parked core's next sweep is).
+    pub(crate) fn run_pending(&self) -> bool {
+        self.scheduled_run.is_some() || self.parked.is_some()
     }
 }
 
@@ -77,7 +107,7 @@ pub(crate) struct State {
     pub(crate) tasklets: Slab<TaskletRec>,
     pub(crate) tasklet_queue: VecDeque<TaskletId>,
     pub(crate) runq: RunQueues,
-    pub(crate) hooks: Vec<IdleHook>,
+    pub(crate) hooks: Hooks,
     pub(crate) timers: Slab<timers::TimerRec>,
     pub(crate) stats: SchedStats,
     /// Per-shard counts of idle-hook work events
@@ -130,6 +160,7 @@ impl Marcel {
                 current: None,
                 busy_until: SimTime::ZERO,
                 scheduled_run: None,
+                parked: None,
             })
             .collect();
         Marcel {
@@ -144,7 +175,7 @@ impl Marcel {
                     tasklets: Slab::new(),
                     tasklet_queue: VecDeque::new(),
                     runq,
-                    hooks: Vec::new(),
+                    hooks: Rc::new([]),
                     timers: Slab::new(),
                     stats: SchedStats::default(),
                     hook_shard_work: Vec::new(),
@@ -181,27 +212,79 @@ impl Marcel {
 
     // ----- core engine ----------------------------------------------------
 
-    /// Nudges every idle core to look for work now (used by PIOMAN when new
-    /// requests arrive).
-    pub fn kick_all_idle(&self) {
+    /// The doorbell: state the idle cores poll has changed (a frame or a
+    /// shared-memory message arrived, a retransmission was queued). Every
+    /// parked core re-sweeps at the first grid instant that would observe
+    /// the change, and every idle core is nudged to look now.
+    pub fn doorbell(&self) {
+        self.wake_parked();
         let now = self.inner.sim.now();
-        let idle: Vec<CoreId> = self
+        let n = self.inner.state.borrow().cores.len();
+        for local in 0..n {
+            let (idle, core) = {
+                let st = self.inner.state.borrow();
+                let c = &st.cores[local];
+                (c.is_idle(&self.inner.sim, now), c.id)
+            };
+            if idle {
+                self.schedule_run(core, SimDuration::ZERO);
+            }
+        }
+    }
+
+    /// State an idle sweep reads has changed (PIOMAN queued or completed
+    /// work, a thread or tasklet became ready): every parked core gets one
+    /// real `run_core` at its next grid instant — the first sweep that
+    /// would have observed the change. Idle cores are left alone; callers
+    /// that also want them nudged ring [`Marcel::doorbell`].
+    ///
+    /// Costs nothing in virtual time: the sweep it turns real was in the
+    /// polled schedule anyway, at the same `(time, seq)` slot.
+    pub fn wake_parked(&self) {
+        let n = self.inner.state.borrow().cores.len();
+        for local in 0..n {
+            self.unpark_core(local);
+        }
+    }
+
+    /// Turns a parked core's next virtual sweep into its real pending run,
+    /// leaving the core exactly as the polling loop would have at this
+    /// instant, and counts the sweeps it made while parked as run — here
+    /// and in every hook. No-op for a core that is not parked.
+    fn unpark_core(&self, local: usize) {
+        let (p, core) = {
+            let mut st = self.inner.state.borrow_mut();
+            let c = &mut st.cores[local];
+            match c.parked.take() {
+                Some(p) => (p, c.id),
+                None => return,
+            }
+        };
+        let (at, handle, swept) = self
             .inner
-            .state
-            .borrow()
-            .cores
-            .iter()
-            .filter(|c| c.is_idle(now))
-            .map(|c| c.id)
-            .collect();
-        for c in idle {
-            self.schedule_run(c, SimDuration::ZERO);
+            .sim
+            .materialize(p.sweeps, self.run_event(local, core));
+        let hooks = {
+            let mut st = self.inner.state.borrow_mut();
+            st.stats.hook_sweeps += swept;
+            let c = &mut st.cores[local];
+            if !p.cost.is_zero() {
+                c.busy_until = at;
+            }
+            c.scheduled_run = Some((at, handle));
+            Rc::clone(&st.hooks)
+        };
+        if swept > 0 {
+            for hook in hooks.iter() {
+                hook.skipped(swept);
+            }
         }
     }
 
     /// Kicks the idle core nearest to `origin`, or any idle core.
     pub(crate) fn kick_idle_near(&self, origin: Option<CoreId>) {
         let now = self.inner.sim.now();
+        let sim = &self.inner.sim;
         let chosen = {
             let st = self.inner.state.borrow();
             // Prefer an idle core with no run already pending so that two
@@ -209,8 +292,8 @@ impl Marcel {
             let fallback = || {
                 st.cores
                     .iter()
-                    .find(|c| c.is_idle(now) && c.scheduled_run.is_none())
-                    .or_else(|| st.cores.iter().find(|c| c.is_idle(now)))
+                    .find(|c| c.is_idle(sim, now) && !c.run_pending())
+                    .or_else(|| st.cores.iter().find(|c| c.is_idle(sim, now)))
                     .map(|c| c.id)
             };
             match origin {
@@ -222,7 +305,7 @@ impl Marcel {
                     .find(|&cand| {
                         let local = self.inner.topo.local_index(cand);
                         let c = &st.cores[local];
-                        c.is_idle(now) && c.scheduled_run.is_none()
+                        c.is_idle(sim, now) && !c.run_pending()
                     })
                     .or_else(fallback),
                 None => fallback(),
@@ -238,23 +321,29 @@ impl Marcel {
     pub(crate) fn schedule_run(&self, core: CoreId, delay: SimDuration) {
         let at = self.inner.sim.now() + delay;
         let local = self.local(core);
-        {
-            let mut st = self.inner.state.borrow_mut();
-            let slot = &mut st.cores[local].scheduled_run;
-            if let Some((t, _)) = slot {
-                if *t <= at {
-                    return; // an earlier (or same-time) run is already pending
-                }
-                if let Some((_, h)) = slot.take() {
-                    h.cancel();
-                }
+        // A kick races a parked core's polling loop: make its pending sweep
+        // real first, then dedupe against it as the loop would.
+        self.unpark_core(local);
+        let mut st = self.inner.state.borrow_mut();
+        let slot = &mut st.cores[local].scheduled_run;
+        if let Some((t, _)) = slot {
+            if *t <= at {
+                return; // an earlier (or same-time) run is already pending
             }
-            let marcel = self.clone();
-            let handle = self.inner.sim.schedule_at(at, move |_| {
-                marcel.inner.state.borrow_mut().cores[local].scheduled_run = None;
-                marcel.run_core(core);
-            });
-            *slot = Some((at, handle));
+            if let Some((_, h)) = slot.take() {
+                h.cancel();
+            }
+        }
+        let handle = self.inner.sim.schedule_at(at, self.run_event(local, core));
+        *slot = Some((at, handle));
+    }
+
+    /// The event body of a pending `run_core(core)`.
+    fn run_event(&self, local: usize, core: CoreId) -> impl FnOnce(&Sim) + 'static {
+        let marcel = self.clone();
+        move |_| {
+            marcel.inner.state.borrow_mut().cores[local].scheduled_run = None;
+            marcel.run_core(core);
         }
     }
 
@@ -346,21 +435,40 @@ impl Marcel {
                 return;
             }
             // Phase 3: idle hooks.
-            let (cost, armed) = self.hook_sweep(core, now);
-            if !cost.is_zero() {
-                let mut st = self.inner.state.borrow_mut();
-                st.cores[local].busy_until = now + cost;
-                drop(st);
-                self.schedule_run(core, cost);
-                return;
+            match self.hook_sweep(core, now) {
+                Sweep::Worked(cost) if cost.is_zero() => {
+                    self.schedule_run(core, self.inner.cfg.idle_poll_period);
+                }
+                Sweep::Worked(cost) => {
+                    self.inner.state.borrow_mut().cores[local].busy_until = now + cost;
+                    self.schedule_run(core, cost);
+                }
+                Sweep::Idle(cost) => self.park(local, now, cost),
+                // Truly idle: sleep until kicked.
+                Sweep::Nothing => {}
             }
-            if armed {
-                self.schedule_run(core, self.inner.cfg.idle_poll_period);
-                return;
-            }
-            // Truly idle: sleep until kicked.
             return;
         }
+    }
+
+    /// Parks a core whose sweep found nothing but stays armed: it would
+    /// re-sweep every `cost` (every `idle_poll_period` if zero), each sweep
+    /// finding nothing until some state it reads changes — which rings
+    /// [`Marcel::wake_parked`]. Until then the sweeps are a virtual event.
+    fn park(&self, local: usize, now: SimTime, cost: SimDuration) {
+        let step = if cost.is_zero() {
+            self.inner.cfg.idle_poll_period
+        } else {
+            cost
+        };
+        let sweeps = self.inner.sim.schedule_virtual(now + step, step);
+        let mut st = self.inner.state.borrow_mut();
+        let c = &mut st.cores[local];
+        debug_assert!(c.scheduled_run.is_none(), "a pure sweep kicked its core");
+        if !cost.is_zero() {
+            c.busy_until = now + cost;
+        }
+        c.parked = Some(Parked { sweeps, cost });
     }
 
     pub(crate) fn wake_dispatch(&self, thread: ThreadId) {

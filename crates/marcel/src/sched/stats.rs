@@ -12,7 +12,8 @@ pub struct SchedStats {
     pub tasklet_runs: u64,
     /// Tasklet schedules that coalesced into a pending one.
     pub tasklet_coalesced: u64,
-    /// Idle-hook sweep invocations.
+    /// Idle-hook sweep invocations. The sweeps of a parked core (see
+    /// [`crate::HookResult::Idle`]) are added when it wakes.
     pub hook_sweeps: u64,
     /// Tasklet executions that stole cycles from a computing thread.
     pub compute_steals: u64,

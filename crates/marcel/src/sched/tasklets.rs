@@ -52,6 +52,7 @@ impl Marcel {
         };
         if enqueued {
             self.trace(Category::Tasklet, || format!("schedule {tasklet:?}"));
+            self.wake_parked();
             self.kick_idle_near(from);
         }
         enqueued
@@ -77,6 +78,7 @@ impl Marcel {
             assert!(rec.disabled > 0, "tasklet_enable without disable");
             rec.disabled -= 1;
         }
+        self.wake_parked();
         self.kick_idle_near(None);
     }
 
@@ -161,7 +163,7 @@ impl Marcel {
         let mut run = TaskletRun::new(on);
         body(&mut run);
         let (charged, resched, shard) = run.take_outcome();
-        {
+        let requeued = {
             let mut st = self.inner.state.borrow_mut();
             st.stats.tasklet_runs += 1;
             if stolen {
@@ -174,6 +176,12 @@ impl Marcel {
             rec.body = Some(body);
             rec.running = false;
             rec.runs += 1;
+            // Scheduled again while it ran: its queue entry just became
+            // runnable for the cores polling past it.
+            rec.scheduled
+        };
+        if requeued {
+            self.wake_parked();
         }
         if resched {
             self.tasklet_schedule(id, Some(on));

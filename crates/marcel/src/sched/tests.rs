@@ -239,7 +239,7 @@ fn idle_hook_runs_when_core_idle() {
     let (sim, m) = setup(1);
     let polls = Rc::new(Cell::new(0u32));
     let polls2 = Rc::clone(&polls);
-    m.register_idle_hook(move |_, _| {
+    m.register_idle_hook(move |_: &Marcel, _: CoreId| {
         let c = polls2.get();
         if c < 5 {
             polls2.set(c + 1);
@@ -263,10 +263,10 @@ fn armed_hook_keeps_polling_until_disarmed() {
     {
         let armed = Rc::clone(&armed);
         let polls = Rc::clone(&polls);
-        m.register_idle_hook(move |_, _| {
+        m.register_idle_hook(move |_: &Marcel, _: CoreId| {
             if armed.get() {
                 polls.set(polls.get() + 1);
-                HookResult::Armed
+                HookResult::Idle(SimDuration::ZERO)
             } else {
                 HookResult::Nothing
             }
@@ -275,14 +275,143 @@ fn armed_hook_keeps_polling_until_disarmed() {
     // A thread must exist once so the core wakes up at least once.
     m.spawn("t", Priority::Normal, None, |_ctx| async move {});
     let armed2 = Rc::clone(&armed);
-    sim.schedule_in(SimDuration::from_micros(10), move |_| armed2.set(false));
+    let m2 = m.clone();
+    sim.schedule_in(SimDuration::from_micros(10), move |_| {
+        armed2.set(false);
+        m2.wake_parked();
+    });
     sim.run();
+    // Polled every 0.1µs from 0 to 10µs inclusive (the disarming event
+    // was scheduled first, so the sweep at 10µs already sees it): 101
+    // sweeps, of which only the first and last ran for real.
+    assert_eq!(m.stats().hook_sweeps, 101);
+    assert_eq!(polls.get(), 1, "the parked sweeps are computed, not run");
+    assert_eq!(sim.now().as_micros(), 10);
+}
+
+/// `(instant ns, core)` of each sweep that saw the change.
+type Seen = Rc<std::cell::RefCell<Vec<(u64, usize)>>>;
+
+/// Registers a hook that stays armed (charging `cost` per poll) until
+/// `ready` is set, then records when and where it saw it.
+fn armed_until_ready(m: &Marcel, cost: SimDuration) -> (Rc<Cell<bool>>, Seen) {
+    let ready = Rc::new(Cell::new(false));
+    let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let (r, s) = (Rc::clone(&ready), Rc::clone(&seen));
+    m.register_idle_hook(move |m: &Marcel, core: CoreId| {
+        if !r.get() {
+            return HookResult::Idle(cost);
+        }
+        s.borrow_mut().push((m.sim().now().as_nanos(), core.0));
+        HookResult::Nothing
+    });
+    (ready, seen)
+}
+
+/// Spawns one empty thread pinned to each of `cores` so they sweep once.
+fn touch_cores(m: &Marcel, cores: &[usize]) {
+    for &c in cores {
+        m.spawn("t", Priority::Normal, Some(CoreId(c)), |_ctx| async move {});
+    }
+}
+
+#[test]
+fn parked_core_runs_o1_events_while_counting_every_sweep() {
+    let (sim, m) = setup(1);
+    let (ready, seen) = armed_until_ready(&m, SimDuration::ZERO);
+    touch_cores(&m, &[0]);
+    let m2 = m.clone();
+    sim.schedule_in(SimDuration::from_millis(1), move |_| {
+        ready.set(true);
+        m2.wake_parked();
+    });
+    sim.run();
+    // One sweep every 0.1µs over 1ms, both ends included.
+    assert_eq!(m.stats().hook_sweeps, 10_001);
+    assert_eq!(*seen.borrow(), vec![(1_000_000, 0)]);
     assert!(
-        polls.get() >= 10,
-        "polled every 0.1µs for 10µs: {}",
-        polls.get()
+        sim.executed_events() <= 5,
+        "parked polling executed {} events",
+        sim.executed_events()
     );
-    assert!(sim.now().as_micros() >= 10);
+}
+
+#[test]
+fn doorbell_wakes_at_first_grid_instant_at_or_after_it() {
+    // Sweeps at 0, 230, 460, … ns. A change at 1000 ns is first seen by
+    // the sweep at 1150 ns; one at exactly 1150 ns, by that sweep too
+    // when it was scheduled before the core parked (it sorts first).
+    for (bell, want) in [(1_000u64, 1_150u64), (1_150, 1_150), (1_151, 1_380)] {
+        let (sim, m) = setup(1);
+        let (ready, seen) = armed_until_ready(&m, SimDuration::from_nanos(230));
+        touch_cores(&m, &[0]);
+        let m2 = m.clone();
+        sim.schedule_at(SimTime::from_nanos(bell), move |_| {
+            ready.set(true);
+            m2.doorbell();
+        });
+        sim.run();
+        assert_eq!(*seen.borrow(), vec![(want, 0)], "doorbell at {bell} ns");
+        assert_eq!(m.stats().hook_sweeps, want / 230 + 1);
+    }
+}
+
+#[test]
+fn parked_cores_sharing_an_instant_wake_in_polling_order() {
+    let (sim, m) = setup(3);
+    let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let (ready, seen) = {
+        let order = Rc::clone(&order);
+        let ready = Rc::new(Cell::new(false));
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let (r, s) = (Rc::clone(&ready), Rc::clone(&seen));
+        m.register_idle_hook(move |m: &Marcel, core: CoreId| {
+            if r.get() {
+                s.borrow_mut().push((m.sim().now().as_nanos(), core.0));
+                return HookResult::Nothing;
+            }
+            if m.sim().now().as_nanos() == 0 {
+                order.borrow_mut().push(core.0);
+            }
+            HookResult::Idle(SimDuration::from_nanos(230))
+        });
+        (ready, seen)
+    };
+    // Cores 2, 0, 1 sweep at t = 0 in that order and share every grid
+    // instant after it.
+    touch_cores(&m, &[2, 0, 1]);
+    let m2 = m.clone();
+    sim.schedule_at(SimTime::from_nanos(500), move |_| {
+        ready.set(true);
+        m2.wake_parked();
+    });
+    sim.run();
+    let polled: Vec<usize> = order.borrow().clone();
+    assert_eq!(polled.len(), 3);
+    let woke: Vec<(u64, usize)> = polled.iter().map(|&c| (690, c)).collect();
+    assert_eq!(*seen.borrow(), woke, "same instant, same order as polled");
+}
+
+#[test]
+fn blocked_receive_that_never_arrives_leaves_the_run_wedged() {
+    let sim = Sim::new(1);
+    let topo = Rc::new(Topology::single_node(2));
+    let cfg = MarcelConfig {
+        timer_tick: Some(SimDuration::from_micros(100)),
+        ..MarcelConfig::zero_cost()
+    };
+    let m = Marcel::new(sim.clone(), topo, NodeId(0), cfg);
+    m.register_idle_hook(|_: &Marcel, _: CoreId| HookResult::Idle(SimDuration::from_nanos(230)));
+    m.start_timer(SimDuration::from_micros(100), |_| {});
+    let never = Trigger::new();
+    m.spawn("recv", Priority::Normal, None, move |ctx| async move {
+        ctx.block_until(&never, true).await;
+    });
+    assert_eq!(
+        sim.run_bounded(SimTime::from_millis(1)),
+        Err(SimTime::from_millis(1))
+    );
+    assert!(sim.executed_events() < 50, "{}", sim.executed_events());
 }
 
 #[test]

@@ -55,6 +55,7 @@ impl Marcel {
             st.runq.push(id, prio_idx(priority), placement);
             id
         };
+        self.wake_parked();
         let marcel = self.clone();
         let ctx = ThreadCtx {
             marcel: self.clone(),
@@ -215,6 +216,9 @@ impl Marcel {
         self.trace(Category::Sched, || {
             format!("release {:?} -> {:?}", thread, new_state)
         });
+        if requeue {
+            self.wake_parked();
+        }
         self.schedule_run(freed, SimDuration::ZERO);
     }
 
@@ -232,6 +236,7 @@ impl Marcel {
             st.runq.push(thread, prio_idx(priority), placement);
             (affinity, last_core)
         };
+        self.wake_parked();
         self.kick_for(affinity, last_core);
     }
 
@@ -267,7 +272,7 @@ impl Marcel {
             .borrow()
             .cores
             .iter()
-            .filter(|c| c.is_idle(now))
+            .filter(|c| c.is_idle(&self.inner.sim, now))
             .count()
     }
 

@@ -50,6 +50,11 @@ impl ProgressDriver for RailDriver {
             .upgrade()
             .map(|inner| inner.rails[self.rail].hw_trigger())
     }
+    fn credit_polls(&self, polls: u64) {
+        if let Some(inner) = self.session.upgrade() {
+            inner.rails[self.rail].credit_polls(polls);
+        }
+    }
 }
 
 /// PIOMAN driver for the shared-memory channel (intra-node/self traffic).

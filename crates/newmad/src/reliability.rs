@@ -126,6 +126,7 @@ impl Session {
                 );
                 let failed = self.rel_abandon(&mut st, dest, &p.msg);
                 drop(st);
+                self.wake_parked();
                 if let Some(req) = failed {
                     // The rail is presumed dead for this flow: surface a
                     // typed completion error so `swait` wakes instead of
@@ -171,12 +172,12 @@ impl Session {
         };
         if retransmit {
             self.trace(|| format!("retransmit rel {rel} to {dest}"));
-            // Nudge the engine the same way a frame arrival would: the
+            // Ring the doorbell the way a frame arrival would: the
             // retransmit pack must not wait for the next app call.
             if let Some(p) = &self.inner.pioman {
                 p.notify_work(None);
             }
-            self.inner.marcel.kick_all_idle();
+            self.inner.marcel.doorbell();
         }
     }
 

@@ -244,6 +244,7 @@ impl Session {
         };
         verify.lock_release("newmad.state");
         verify.set_node(vnode);
+        self.wake_parked();
         if target == own {
             req.complete(&self.inner.sim);
         }

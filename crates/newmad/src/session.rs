@@ -149,17 +149,17 @@ impl Session {
                 session: Rc::downgrade(&inner),
             }));
         }
-        // Frame arrivals nudge idle cores: the simulation-friendly
-        // equivalent of the continuous busy-poll of §3.2 observing the
-        // doorbell the moment it flips.
-        let marcel_weak = {
+        // Frame arrivals ring the node's doorbell: parked cores observe
+        // them at their next polling instant (the continuous busy-poll of
+        // §3.2), idle cores are nudged now.
+        let doorbell = {
             let m = inner.marcel.clone();
             let p = inner.pioman.clone();
             move || {
-                m.kick_all_idle();
+                m.doorbell();
                 // A parked dedicated progress thread is summoned by the
-                // doorbell too (it blocks parked, not idle, so the kick
-                // above cannot reach it). No-op unless
+                // doorbell too (it blocks in `park`, not on a core, so the
+                // doorbell's kicks cannot reach it). No-op unless
                 // `PiomanConfig::progress_thread` spawned one.
                 if let Some(p) = &p {
                     p.wake_progress_thread();
@@ -167,11 +167,9 @@ impl Session {
             }
         };
         for rail in &inner.rails {
-            let kick = marcel_weak.clone();
-            rail.set_rx_callback(kick);
+            rail.set_rx_callback(doorbell.clone());
         }
-        let kick = marcel_weak;
-        inner.shm.set_callback(kick);
+        inner.shm.set_callback(doorbell);
         session
     }
 
@@ -365,6 +363,7 @@ impl Session {
             Some(sub) => {
                 // Inline: the calling thread pays the submission here.
                 let cost = self.submit(sub);
+                self.wake_parked();
                 ctx.compute(cost).await;
             }
             None => self.notify_work(ctx),
@@ -442,6 +441,7 @@ impl Session {
         };
         verify.lock_release("newmad.state");
         verify.set_node(vnode);
+        self.wake_parked();
         match copy_cost {
             Some(cost) => {
                 ctx.compute(cost).await;
@@ -566,6 +566,9 @@ impl Session {
             }
             self.seq_acquire(ctx).await;
             let p = self.progress_unit();
+            if p.did_work {
+                self.wake_parked();
+            }
             if !p.cost.is_zero() {
                 self.seq_hold(p.cost);
                 ctx.compute(p.cost).await;
@@ -608,6 +611,12 @@ impl Session {
         if self.inner.cfg.engine == EngineKind::Sequential {
             self.inner.seq_lock_until.set(self.inner.sim.now() + cost);
         }
+    }
+
+    /// Protocol state the idle cores poll changed outside a PIOMAN
+    /// progress step: parked cores re-sweep at their next instant.
+    pub(crate) fn wake_parked(&self) {
+        self.inner.marcel.wake_parked();
     }
 
     fn notify_work(&self, ctx: &ThreadCtx) {

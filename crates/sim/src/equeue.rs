@@ -272,11 +272,17 @@ impl EventQueue {
 
     /// Time of the earliest live event, skimming tombstones off `near`.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    /// `(time, seq)` key of the earliest live event, skimming tombstones
+    /// off `near`.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         loop {
             self.prime();
             match self.near.peek() {
                 None => return None,
-                Some(Reverse(k)) if self.key_live(k) => return Some(k.at),
+                Some(Reverse(k)) if self.key_live(k) => return Some((k.at, k.seq)),
                 Some(_) => {
                     self.near.pop();
                     self.dead_keys = self.dead_keys.saturating_sub(1);

@@ -52,6 +52,7 @@ mod time;
 pub mod trace;
 mod trigger;
 pub mod verify;
+mod virt;
 
 pub use channel::SimChannel;
 pub use executor::TaskId;
@@ -62,3 +63,4 @@ pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
 pub use trigger::{OneShot, OneShotSender, Trigger};
 pub use verify::{LockInversion, RaceFinding, Verify, VerifyReport};
+pub use virt::VirtualEvent;

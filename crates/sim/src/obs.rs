@@ -235,7 +235,7 @@ pub enum EventKind {
         /// Virtual-time cost charged, in nanoseconds.
         cost: u64,
     },
-    /// An idle hook reported work.
+    /// An idle hook did work (an unproductive poll records nothing).
     HookWork {
         /// Core the hook ran on.
         core: usize,

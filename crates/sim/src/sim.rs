@@ -7,6 +7,7 @@ use crate::rng::Xoshiro256;
 use crate::slab::Slab;
 use crate::trace::Trace;
 use crate::verify::Verify;
+use crate::virt::{VirtualEvent, VirtualQueue};
 use crate::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -28,6 +29,7 @@ struct Inner {
     clock: Cell<SimTime>,
     seq: Cell<u64>,
     events: RefCell<EventQueue>,
+    virt: RefCell<VirtualQueue>,
     tasks: RefCell<Slab<TaskSlot>>,
     wakes: Arc<WakeList>,
     spawned: RefCell<Vec<usize>>,
@@ -85,6 +87,7 @@ impl Sim {
                 clock: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
                 events: RefCell::new(EventQueue::new()),
+                virt: RefCell::new(VirtualQueue::default()),
                 tasks: RefCell::new(Slab::new()),
                 wakes: Arc::new(WakeList::default()),
                 spawned: RefCell::new(Vec::new()),
@@ -140,9 +143,10 @@ impl Sim {
         self.inner.tasks.borrow().len()
     }
 
-    /// Number of live (scheduled, not fired, not cancelled) events.
+    /// Number of live (scheduled, not fired, not cancelled) events,
+    /// virtual periodic events included.
     pub fn pending_events(&self) -> usize {
-        self.inner.events.borrow().live_len()
+        self.inner.events.borrow().live_len() + self.inner.virt.borrow().len()
     }
 
     /// Total keys resident in the event queue: live events plus
@@ -170,6 +174,13 @@ impl Sim {
         let at = at.max(self.now());
         let seq = self.inner.seq.get();
         self.inner.seq.set(seq + 1);
+        self.insert_event(at, seq, action)
+    }
+
+    fn insert_event<F>(&self, at: SimTime, seq: u64, action: F) -> TimerHandle
+    where
+        F: FnOnce(&Sim) + 'static,
+    {
         let (slot, gen) = self
             .inner
             .events
@@ -181,6 +192,60 @@ impl Sim {
             gen,
             cancelled: Cell::new(false),
         }
+    }
+
+    /// Starts a *virtual* periodic event: first at `first`, then every
+    /// `period`, each firing doing nothing but schedule the next. The run
+    /// loop orders its firings against real events by `(time, seq)` and
+    /// allocates their sequence numbers exactly as a real self-rescheduling
+    /// event would — this call allocates the first one — but executes no
+    /// closure and counts no executed event (see the `virt` module). End it
+    /// with [`Sim::materialize`].
+    pub fn schedule_virtual(&self, first: SimTime, period: SimDuration) -> VirtualEvent {
+        let at = first.max(self.now());
+        let seq = self.inner.seq.get();
+        self.inner.seq.set(seq + 1);
+        self.inner
+            .virt
+            .borrow_mut()
+            .insert(at, seq, period.as_nanos())
+    }
+
+    /// Instant of the next firing of `v` (never before [`Sim::now`]).
+    pub fn virtual_next(&self, v: &VirtualEvent) -> SimTime {
+        self.inner.virt.borrow().next_at(v)
+    }
+
+    /// Ends `v`, turning its next firing into a real event: `action` runs
+    /// at exactly the `(time, seq)` slot that firing held, so it ties with
+    /// other events as the self-rescheduling event would have. Returns the
+    /// new event's time and cancel handle, and the firings `v` made.
+    pub fn materialize<F>(&self, v: VirtualEvent, action: F) -> (SimTime, TimerHandle, u64)
+    where
+        F: FnOnce(&Sim) + 'static,
+    {
+        let (at, seq, fired) = self.inner.virt.borrow_mut().remove(v);
+        (at, self.insert_event(at, seq, action), fired)
+    }
+
+    /// Fires the virtual events keyed before the next real event, if that
+    /// event is due by `limit`. Virtual events never outlive the real
+    /// queue: with no real event left there is nothing to order them
+    /// against.
+    fn fire_virtual(&self, limit: SimTime) {
+        let mut virt = self.inner.virt.borrow_mut();
+        if virt.len() == 0 {
+            return;
+        }
+        let Some(next) = self.inner.events.borrow_mut().peek_key() else {
+            return;
+        };
+        if next.0 > limit {
+            return;
+        }
+        let mut seq = self.inner.seq.get();
+        virt.fire_before(next, &mut seq);
+        self.inner.seq.set(seq);
     }
 
     // ----- tasks --------------------------------------------------------
@@ -270,6 +335,7 @@ impl Sim {
     pub fn run_until(&self, limit: SimTime) -> SimTime {
         loop {
             self.drain_microtasks();
+            self.fire_virtual(limit);
             // Bind the pop result so the queue borrow ends before the
             // action runs (actions re-enter the sim to schedule).
             let due = self.inner.events.borrow_mut().pop_due(limit);
@@ -317,6 +383,7 @@ impl Sim {
     pub fn run_bounded(&self, deadline: SimTime) -> Result<SimTime, SimTime> {
         loop {
             self.drain_microtasks();
+            self.fire_virtual(deadline);
             // pop_due skips dead keys, so tombstones neither read as
             // pending work nor advance the clock. Bind the result so the
             // queue borrow ends before the action runs.
@@ -331,6 +398,9 @@ impl Sim {
                     action.invoke(self);
                 }
                 Due::Later => return Err(deadline),
+                // A live virtual event would have kept a real
+                // self-rescheduling one going forever.
+                Due::Empty if self.inner.virt.borrow().len() > 0 => return Err(deadline),
                 Due::Empty => return Ok(self.now()),
             }
         }
@@ -662,6 +732,151 @@ mod tests {
             Rc::try_unwrap(out).unwrap().into_inner()
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    /// One chain of the differential below: a periodic event that, once
+    /// woken, runs its next firing for real and starts over.
+    #[derive(Default)]
+    struct Chain {
+        period: u64,
+        fired: u64,
+        /// Started and not woken yet.
+        parked: bool,
+        woken: bool,
+        virt: Option<VirtualEvent>,
+    }
+
+    type Log = Rc<StdRefCell<Vec<(u64, String)>>>;
+    type Chains = Rc<StdRefCell<Vec<Chain>>>;
+
+    fn start_chain(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
+        let at = sim.now() + SimDuration::from_nanos(chains.borrow()[i].period);
+        chains.borrow_mut()[i].fired = 0;
+        chains.borrow_mut()[i].parked = true;
+        if virtual_ {
+            let period = SimDuration::from_nanos(chains.borrow()[i].period);
+            chains.borrow_mut()[i].virt = Some(sim.schedule_virtual(at, period));
+        } else {
+            let (chains, log) = (Rc::clone(chains), Rc::clone(log));
+            sim.schedule_at(at, move |sim| fire_real(sim, &chains, &log, i));
+        }
+    }
+
+    fn fire_real(sim: &Sim, chains: &Chains, log: &Log, i: usize) {
+        let woken = std::mem::take(&mut chains.borrow_mut()[i].woken);
+        if woken {
+            woke(sim, chains, log, i, false);
+        } else {
+            chains.borrow_mut()[i].fired += 1;
+            let at = sim.now() + SimDuration::from_nanos(chains.borrow()[i].period);
+            let (chains, log) = (Rc::clone(chains), Rc::clone(log));
+            sim.schedule_at(at, move |sim| fire_real(sim, &chains, &log, i));
+        }
+    }
+
+    fn woke(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
+        let fired = chains.borrow()[i].fired;
+        log.borrow_mut()
+            .push((sim.now().as_nanos(), format!("chain {i} after {fired}")));
+        start_chain(sim, chains, log, i, virtual_);
+    }
+
+    fn wake(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
+        if !std::mem::take(&mut chains.borrow_mut()[i].parked) {
+            return; // not started, or already woken
+        }
+        if virtual_ {
+            let v = chains.borrow_mut()[i].virt.take().expect("parked");
+            let (c2, l2) = (Rc::clone(chains), Rc::clone(log));
+            let (_, _, fired) = sim.materialize(v, move |sim| woke(sim, &c2, &l2, i, true));
+            chains.borrow_mut()[i].fired = fired;
+        } else {
+            chains.borrow_mut()[i].woken = true;
+        }
+    }
+
+    /// A seeded script of probe events on a 10 ns lattice — with delays
+    /// that hit the chains' grids exactly — that wake chains at random.
+    fn chain_script(seed: u64, virtual_: bool) -> Vec<(u64, String)> {
+        let sim = Sim::new(seed);
+        let log: Log = Rc::default();
+        let chains: Chains = Rc::default();
+        for period in [100u64, 230, 230, 500] {
+            chains.borrow_mut().push(Chain {
+                period,
+                ..Chain::default()
+            });
+        }
+        fn probe(sim: &Sim, chains: &Chains, log: &Log, id: u64, virtual_: bool) {
+            log.borrow_mut()
+                .push((sim.now().as_nanos(), format!("probe {id}")));
+            let (roll, pick, delay) = sim.with_rng(|r| {
+                let delays = [0u64, 10, 100, 230, 460, 500, 10 * r.gen_below(100)];
+                (
+                    r.gen_below(3),
+                    r.gen_below(4) as usize,
+                    delays[r.gen_below(7) as usize],
+                )
+            });
+            match roll {
+                0 => {
+                    let (c, l) = (Rc::clone(chains), Rc::clone(log));
+                    sim.schedule_in(SimDuration::from_nanos(delay), move |sim| {
+                        probe(sim, &c, &l, id + 1000, virtual_)
+                    });
+                }
+                1 => wake(sim, chains, log, pick, virtual_),
+                _ => {}
+            }
+        }
+        for i in 0..4 {
+            let start = sim.with_rng(|r| 10 * r.gen_below(200));
+            let (c, l) = (Rc::clone(&chains), Rc::clone(&log));
+            sim.schedule_at(SimTime::from_nanos(start), move |sim| {
+                start_chain(sim, &c, &l, i, virtual_)
+            });
+        }
+        for id in 0..80 {
+            let at = sim.with_rng(|r| 10 * r.gen_below(3000));
+            let (c, l) = (Rc::clone(&chains), Rc::clone(&log));
+            sim.schedule_at(SimTime::from_nanos(at), move |sim| {
+                probe(sim, &c, &l, id, virtual_)
+            });
+        }
+        sim.run_until(SimTime::from_nanos(40_000));
+        let out = log.borrow().clone();
+        out
+    }
+
+    #[test]
+    fn virtual_periodic_events_order_like_real_ones() {
+        for seed in 0..40 {
+            let real = chain_script(seed, false);
+            let virt = chain_script(seed, true);
+            assert!(real.iter().any(|(_, l)| l.starts_with("chain")));
+            assert_eq!(real, virt, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn virtual_events_keep_run_bounded_wedged() {
+        let sim = Sim::new(0);
+        let v = sim.schedule_virtual(SimTime::from_nanos(100), SimDuration::from_nanos(100));
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(
+            sim.run_bounded(SimTime::from_micros(1)),
+            Err(SimTime::from_micros(1))
+        );
+        // A real event at 1 µs orders the virtual firings before it; the
+        // one at 1 µs itself took its seq later, so it sorts after.
+        sim.schedule_at(SimTime::from_micros(1), |_| {});
+        sim.run_until(SimTime::from_micros(1));
+        assert_eq!(sim.virtual_next(&v), SimTime::from_micros(1));
+        let (at, h, fired) = sim.materialize(v, |_| {});
+        assert_eq!(at, SimTime::from_micros(1));
+        assert_eq!(fired, 9, "firings at 100, 200, …, 900 ns");
+        assert!(!h.is_cancelled());
+        assert_eq!(sim.executed_events(), 1);
     }
 
     #[test]
