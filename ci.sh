@@ -20,9 +20,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== pm2-lint source gate (raw-sync + protocol-panic rules)"
 # The former grep hygiene gate, promoted to a scanner with testable
-# rules: no native sync primitives in crates/ outside crates/sync
-# (std::sync, Atomic*, UnsafeCell, std::thread; escape:
-# `// sync-allow: <reason>`) and
+# rules: no native sync primitives anywhere in crates/ (std::sync,
+# Atomic*, UnsafeCell, std::thread; escape: `// sync-allow: <reason>`) and
 # panic-capable calls in the pm2-newmad protocol paths (escape:
 # `// lint-allow: <reason>`).
 ./target/release/pm2_lint
@@ -70,7 +69,7 @@ for b in fig5 fig6 table1 bandwidth; do
     || { echo "$b deviates from tests/baselines/$b.txt"; exit 1; }
 done
 
-echo "== obs timeline dump (pm2-obs-dump/v1 schema)"
+echo "== obs timeline dump (pm2-obs-dump/v1 schema) and trace example"
 # The dump carries virtual timestamps, so it is schema-checked rather
 # than diffed against a golden file; obs_dump itself exits nonzero if any
 # reconstructed timeline is out of causal order.
@@ -80,6 +79,14 @@ for key in pm2-obs-dump/v1 pm2-obs-timeline/v1 pm2-obs-metrics/v1 \
            faults_dropped groups; do
   grep -q "\"$key\"" /tmp/obs_dump.json \
     || { echo "obs_dump output misses key \"$key\""; exit 1; }
+done
+# examples/trace.rs is the repo's one human-readable trace: it renders
+# the typed pm2-obs stream of one eager send, so it must name the post,
+# the tasklet that ran the submission and the delivery.
+cargo run --release -q -p pm2-mpi --example trace > /tmp/obs_trace.txt
+for kind in SendPosted TaskletRun EagerDeliver; do
+  grep -q "$kind" /tmp/obs_trace.txt \
+    || { echo "examples/trace output misses $kind"; exit 1; }
 done
 
 # Long soak (~10^6 messages at 1% loss, both engines); run locally with

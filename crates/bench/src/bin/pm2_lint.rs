@@ -3,8 +3,7 @@
 //!
 //! Rules:
 //!
-//! 1. **raw-sync** — no native concurrency under `crates/` outside
-//!    `crates/sync/` (pm2-sync, home of the native reference locks):
+//! 1. **raw-sync** — no native concurrency anywhere under `crates/`:
 //!    `std::sync`, `Atomic*`, `UnsafeCell` and `std::thread` are
 //!    forbidden, because the engine is a single-threaded simulation and
 //!    every lock or wakeup it models lives in virtual time. Justified
@@ -58,7 +57,7 @@ fn code_of(line: &str) -> &str {
     }
 }
 
-/// The raw-sync rule: one line of any crate outside `crates/sync/`.
+/// The raw-sync rule: one line of any crate.
 fn raw_sync_hit(line: &str) -> Option<&'static str> {
     if line.contains("sync-allow:") {
         return None;
@@ -171,7 +170,6 @@ fn main() {
     rust_files(&crates, &mut files);
     let mut findings = Vec::new();
     let newmad_prefix = crates.join("newmad").join("src");
-    let sync_prefix = crates.join("sync");
     for path in &files {
         // The scanner's own pattern literals are not findings.
         if path.ends_with("bench/src/bin/pm2_lint.rs") {
@@ -180,9 +178,7 @@ fn main() {
         let Ok(src) = std::fs::read_to_string(path) else {
             continue;
         };
-        if !path.starts_with(&sync_prefix) {
-            scan_raw_sync(path, &src, &mut findings);
-        }
+        scan_raw_sync(path, &src, &mut findings);
         if path.starts_with(&newmad_prefix) {
             scan_protocol_panics(path, &src, &mut findings);
         }

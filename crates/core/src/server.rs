@@ -10,7 +10,6 @@ use crate::config::{LockModel, PiomanConfig};
 use crate::req::PiomReq;
 use pm2_marcel::{HookResult, IdleHook, Marcel, Priority, TaskletId, ThreadCtx, ThreadId};
 use pm2_sim::obs::EventKind;
-use pm2_sim::trace::Category;
 use pm2_sim::{Sim, SimDuration, SimTime, Site, Trigger};
 use pm2_topo::CoreId;
 use std::cell::{Cell, RefCell};
@@ -580,9 +579,6 @@ impl Pioman {
             h.consecutive_unproductive = 0;
             until
         };
-        self.inner.sim.trace().emit_with(now, Category::Pioman, || {
-            format!("driver {pos} quarantined until {until}")
-        });
         // The expiry probe: without it a fully idle node would never
         // notice the window has passed and the driver would stay
         // effectively dead.
@@ -850,9 +846,6 @@ impl Pioman {
                 );
             }
         }
-        self.inner.sim.trace().emit_with(now, Category::Pioman, || {
-            format!("progress cost={} did_work={}", cost, p.did_work)
-        });
         if p.did_work {
             self.inner.marcel.wake_parked();
         }

@@ -2,7 +2,6 @@
 
 use crate::params::{FabricParams, FaultPlan};
 use pm2_sim::rng::Xoshiro256;
-use pm2_sim::trace::Category;
 use pm2_sim::{Sim, SimDuration, SimTime, Trigger};
 use pm2_topo::{NodeId, Topology};
 use std::cell::RefCell;
@@ -202,11 +201,6 @@ impl<P: 'static> Fabric<P> {
         } else {
             self.sim.schedule_at(arrival, move |_| nic.deliver(frame));
         }
-        self.sim
-            .trace()
-            .emit_with(self.sim.now(), Category::Hw, || {
-                format!("tx {src}->{dst} {wire_bytes}B arrives at {arrival}")
-            });
         TxInfo {
             egress_end,
             arrival,

@@ -41,6 +41,6 @@ mod tasklet;
 mod thread;
 
 pub use config::MarcelConfig;
-pub use sched::{HookResult, IdleHook, Marcel, SchedStats, TimerId};
+pub use sched::{HookResult, IdleHook, Marcel, SchedStats};
 pub use tasklet::{TaskletId, TaskletRun};
 pub use thread::{Priority, ThreadCtx, ThreadId};

@@ -20,14 +20,12 @@ mod timers;
 
 pub use hooks::{HookResult, IdleHook};
 pub use stats::SchedStats;
-pub use timers::TimerId;
 
 use crate::config::MarcelConfig;
 use crate::runq::RunQueues;
 use crate::tasklet::{TaskletId, TaskletRec};
 use crate::thread::{Priority, ThreadId};
 use hooks::{Hooks, Sweep};
-use pm2_sim::trace::Category;
 use pm2_sim::{Sim, SimDuration, SimTime, Slab, TimerHandle, Trigger, VirtualEvent};
 use pm2_topo::{CoreId, NodeId, Topology};
 use std::cell::RefCell;
@@ -53,7 +51,6 @@ pub(crate) struct ThreadRec {
     pub(crate) finished: Trigger,
     pub(crate) park_trigger: Option<Trigger>,
     pub(crate) unpark_permit: bool,
-    pub(crate) name: String,
 }
 
 pub(crate) struct Core {
@@ -108,7 +105,6 @@ pub(crate) struct State {
     pub(crate) tasklet_queue: VecDeque<TaskletId>,
     pub(crate) runq: RunQueues,
     pub(crate) hooks: Hooks,
-    pub(crate) timers: Slab<timers::TimerRec>,
     pub(crate) stats: SchedStats,
     /// Per-shard counts of idle-hook work events
     /// ([`HookResult::WorkedOn`]), indexed by shard.
@@ -176,7 +172,6 @@ impl Marcel {
                     tasklet_queue: VecDeque::new(),
                     runq,
                     hooks: Rc::new([]),
-                    timers: Slab::new(),
                     stats: SchedStats::default(),
                     hook_shard_work: Vec::new(),
                     tasklet_shard_work: Vec::new(),
@@ -417,9 +412,6 @@ impl Marcel {
                     rec.last_core = Some(core);
                     st.cores[local].current = Some(tid);
                 }
-                self.trace(Category::Sched, || {
-                    format!("dispatch {:?} on {}", tid, core)
-                });
                 if ctx_switch.is_zero() {
                     self.wake_dispatch(tid);
                 } else {
@@ -481,12 +473,5 @@ impl Marcel {
         if let Some(w) = waker {
             w.wake();
         }
-    }
-
-    pub(crate) fn trace(&self, cat: Category, f: impl FnOnce() -> String) {
-        self.inner
-            .sim
-            .trace()
-            .emit_with(self.inner.sim.now(), cat, f);
     }
 }

@@ -5,16 +5,16 @@ use crate::sched::stats::bump_shard;
 use crate::tasklet::{TaskletId, TaskletRec, TaskletRun};
 use crate::thread::ThreadId;
 use pm2_sim::obs::EventKind;
-use pm2_sim::trace::Category;
 use pm2_sim::SimDuration;
 use pm2_topo::CoreId;
 
 impl Marcel {
     /// Registers a tasklet; its body reports consumed CPU time through the
-    /// [`TaskletRun`] it receives.
+    /// [`TaskletRun`] it receives. `_name` labels the call site only:
+    /// nothing stores it.
     pub fn create_tasklet(
         &self,
-        name: impl Into<String>,
+        _name: &str,
         body: impl FnMut(&mut TaskletRun) + 'static,
     ) -> TaskletId {
         let mut st = self.inner.state.borrow_mut();
@@ -25,7 +25,6 @@ impl Marcel {
             disabled: 0,
             origin: None,
             runs: 0,
-            name: name.into(),
         }))
     }
 
@@ -51,7 +50,6 @@ impl Marcel {
             }
         };
         if enqueued {
-            self.trace(Category::Tasklet, || format!("schedule {tasklet:?}"));
             self.wake_parked();
             self.kick_idle_near(from);
         }
@@ -151,14 +149,11 @@ impl Marcel {
         on: CoreId,
         stolen: bool,
     ) -> SimDuration {
-        let (mut body, name) = {
+        let mut body = {
             let mut st = self.inner.state.borrow_mut();
             let rec = st.tasklets.get_mut(id.0).expect("unknown tasklet");
             rec.scheduled = false;
-            (
-                rec.body.take().expect("tasklet body in use"),
-                rec.name.clone(),
-            )
+            rec.body.take().expect("tasklet body in use")
         };
         let mut run = TaskletRun::new(on);
         body(&mut run);
@@ -196,9 +191,6 @@ impl Marcel {
                 cost: charged.as_nanos(),
             },
         );
-        self.trace(Category::Tasklet, || {
-            format!("ran {name} ({id:?}) on {on} cost={charged}")
-        });
         charged
     }
 

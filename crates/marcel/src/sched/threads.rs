@@ -15,7 +15,6 @@
 use super::{Marcel, TState, ThreadRec};
 use crate::runq::{prio_idx, Placement, RunQueues};
 use crate::thread::{Priority, ThreadCtx, ThreadId, WaitDispatched};
-use pm2_sim::trace::Category;
 use pm2_sim::{SimDuration, Trigger};
 use pm2_topo::CoreId;
 use std::future::Future;
@@ -49,7 +48,6 @@ impl Marcel {
                 finished: Trigger::new(),
                 park_trigger: None,
                 unpark_permit: false,
-                name: name.clone(),
             }));
             let placement = self.placement(&st.runq, affinity, None, false);
             st.runq.push(id, prio_idx(priority), placement);
@@ -135,16 +133,6 @@ impl Marcel {
         }
     }
 
-    /// Debug name of a thread.
-    pub fn thread_name(&self, thread: ThreadId) -> Option<String> {
-        self.inner
-            .state
-            .borrow()
-            .threads
-            .get(thread.0)
-            .map(|r| r.name.clone())
-    }
-
     pub(crate) fn begin_park(&self, thread: ThreadId) -> Option<Trigger> {
         let mut st = self.inner.state.borrow_mut();
         let rec = st.threads.get_mut(thread.0).expect("unknown thread");
@@ -213,9 +201,6 @@ impl Marcel {
             st.cores[from_core].current = None;
             core
         };
-        self.trace(Category::Sched, || {
-            format!("release {:?} -> {:?}", thread, new_state)
-        });
         if requeue {
             self.wake_parked();
         }
@@ -279,17 +264,6 @@ impl Marcel {
     /// True if at least one core is idle.
     pub fn has_idle_core(&self) -> bool {
         self.idle_core_count() > 0
-    }
-
-    /// Number of threads currently running on a core.
-    pub fn running_thread_count(&self) -> usize {
-        self.inner
-            .state
-            .borrow()
-            .threads
-            .iter()
-            .filter(|(_, r)| matches!(r.state, TState::Running(_)))
-            .count()
     }
 
     /// Number of threads waiting in the run queues.

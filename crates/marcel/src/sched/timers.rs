@@ -2,63 +2,28 @@
 
 use super::Marcel;
 use pm2_sim::SimDuration;
-use std::cell::Cell;
 use std::rc::Rc;
-
-/// Identifier of a periodic timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub(crate) usize);
-
-pub(crate) struct TimerRec {
-    pub(crate) cancelled: Rc<Cell<bool>>,
-}
 
 impl Marcel {
     /// Starts a periodic timer firing `callback` every `period`.
     ///
     /// The timer stops automatically when all threads have finished (so
-    /// that simulations terminate) or when cancelled.
-    pub fn start_timer(
-        &self,
-        period: SimDuration,
-        callback: impl Fn(&Marcel) + 'static,
-    ) -> TimerId {
+    /// that simulations terminate).
+    pub fn start_timer(&self, period: SimDuration, callback: impl Fn(&Marcel) + 'static) {
         assert!(!period.is_zero(), "timer period must be positive");
-        let cancelled = Rc::new(Cell::new(false));
-        let id = TimerId(self.inner.state.borrow_mut().timers.insert(TimerRec {
-            cancelled: Rc::clone(&cancelled),
-        }));
-        let marcel = self.clone();
-        let cb = Rc::new(callback);
-        arm_timer(marcel, period, cb, cancelled);
-        id
-    }
-
-    /// Cancels a periodic timer.
-    pub fn cancel_timer(&self, id: TimerId) {
-        if let Some(rec) = self.inner.state.borrow_mut().timers.remove(id.0) {
-            rec.cancelled.set(true);
-        }
+        arm_timer(self.clone(), period, Rc::new(callback));
     }
 }
 
-fn arm_timer(
-    marcel: Marcel,
-    period: SimDuration,
-    cb: Rc<dyn Fn(&Marcel)>,
-    cancelled: Rc<Cell<bool>>,
-) {
+fn arm_timer(marcel: Marcel, period: SimDuration, cb: Rc<dyn Fn(&Marcel)>) {
     let sim = marcel.sim().clone();
     sim.schedule_in(period, move |_| {
-        if cancelled.get() {
-            return;
-        }
         // Auto-stop when the node has gone quiet, so simulations terminate.
         if marcel.live_thread_count() == 0 && !marcel.has_pending_tasklet() {
             return;
         }
         marcel.inner.state.borrow_mut().stats.timer_ticks += 1;
         cb(&marcel);
-        arm_timer(marcel.clone(), period, Rc::clone(&cb), cancelled.clone());
+        arm_timer(marcel, period, cb);
     });
 }

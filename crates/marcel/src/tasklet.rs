@@ -80,8 +80,6 @@ pub(crate) struct TaskletRec {
     pub(crate) origin: Option<CoreId>,
     /// Executions so far.
     pub(crate) runs: u64,
-    /// Debug label.
-    pub(crate) name: String,
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ impl Comm {
         &self.session
     }
 
-    /// The collective engine (algorithm selection, counters).
-    pub fn coll_engine(&self) -> &CollEngine {
-        &self.engine
-    }
-
     /// Snapshot of this rank's collective counters (steps, chunks, bytes,
     /// overlap time).
     pub fn coll_counters(&self) -> CollCounters {

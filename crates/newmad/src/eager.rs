@@ -48,7 +48,6 @@ impl Session {
                     },
                 );
                 posted.req.complete(&self.inner.sim);
-                self.trace(|| format!("eager {} from {} matched", part.tag, src));
                 SimDuration::ZERO
             }
             None => {

@@ -510,7 +510,6 @@ impl Session {
             sim.schedule_at(info.egress_end, move |_| req.complete(&sim2));
         }
         self.note_driver_work(rail_idx);
-        self.trace(|| format!("submit {}B to {}", wire_bytes, sub.dest));
         cost
     }
 

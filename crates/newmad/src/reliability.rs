@@ -132,7 +132,6 @@ impl Session {
                     // typed completion error so `swait` wakes instead of
                     // spinning forever on a request that can never finish.
                     req.fail(&self.inner.sim, ReqError::RetriesExhausted);
-                    self.trace(|| format!("rel {rel} to {dest} exhausted, request failed"));
                 }
                 false
             } else {
@@ -171,7 +170,6 @@ impl Session {
             }
         };
         if retransmit {
-            self.trace(|| format!("retransmit rel {rel} to {dest}"));
             // Ring the doorbell the way a frame arrival would: the
             // retransmit pack must not wait for the next app call.
             if let Some(p) = &self.inner.pioman {
@@ -241,7 +239,6 @@ impl Session {
         if fresh {
             self.handle_wire(src, inner)
         } else {
-            self.trace(|| format!("dup rel {rel} from {src} suppressed"));
             SimDuration::ZERO
         }
     }

@@ -74,7 +74,6 @@ impl Session {
                 );
                 st.push_pack(self.inner.node, src, PackKind::Cts { rdv });
                 drop(st);
-                self.trace(|| format!("rts {tag} matched, CTS queued"));
                 self.inner.registry.register(tag.0 | 1 << 63, len)
             }
             None => {
@@ -98,8 +97,6 @@ impl Session {
             // Unknown rendezvous: a stale CTS (e.g. for an envelope we
             // abandoned after the retry budget). Ignore it gracefully —
             // under a lossy fabric this is survivable, not a bug.
-            drop(st);
-            self.trace(|| format!("stale CTS for rendezvous {rdv} ignored"));
             return SimDuration::ZERO;
         };
         if send.cts_received {
@@ -175,7 +172,6 @@ impl Session {
         self.inner
             .sim
             .schedule_at(last_egress, move |_| req.complete(&sim2));
-        self.trace(|| format!("cts {rdv}: {total} chunk(s) queued to {dest}"));
         cost
     }
 
@@ -193,8 +189,6 @@ impl Session {
             // Data for a rendezvous we no longer track: a late retransmit
             // that raced the completing original. Safe to drop — the
             // payload was already assembled and delivered.
-            drop(st);
-            self.trace(|| format!("stale RdvData for rendezvous {rdv} ignored"));
             return SimDuration::ZERO;
         };
         if recv.chunks.is_empty() {
@@ -238,7 +232,6 @@ impl Session {
                 },
             );
             recv.req.complete(&self.inner.sim);
-            self.trace(|| format!("rdv {rdv} from {src} complete"));
         }
         SimDuration::ZERO
     }

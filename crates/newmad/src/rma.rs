@@ -374,7 +374,6 @@ impl Session {
         verify.lock_release("newmad.state");
         verify.set_node(vnode);
         if injected {
-            self.trace(|| format!("rma op {op} injected"));
             self.inner.cfg.request_registration
         } else {
             SimDuration::ZERO
@@ -446,7 +445,6 @@ impl Session {
                 EventKind::RmaAckRx { op, src: src.0 },
             );
             req.complete(&self.inner.sim);
-            self.trace(|| format!("rma op {op} acked by {src}"));
         }
         SimDuration::ZERO
     }
@@ -545,21 +543,11 @@ impl Session {
                 EventKind::RmaAckRx { op, src: src.0 },
             );
             req.complete(&self.inner.sim);
-            self.trace(|| format!("rma get {op} assembled from {src}"));
         }
         self.inner.rails[0].params().memcpy_cost(len)
     }
 
     // ----- target: matching-free application ------------------------------
-
-    /// Records and traces a one-sided frame addressed to a window this
-    /// node does not expose. Dropping it (rather than panicking) keeps a
-    /// misbehaving or stale peer from taking the target down; the origin's
-    /// retry budget eventually surfaces the failure on its side.
-    fn rma_bad_frame(&self, st: &mut NmState, src: NodeId, win: u64, what: &'static str) {
-        st.counters.rma_bad_frames += 1;
-        self.trace(|| format!("{what} from {src} to unknown window {win} dropped"));
-    }
 
     /// Small put arrival at the target: store into the window and ack.
     /// Runs entirely inside progression — the target application never
@@ -594,7 +582,7 @@ impl Session {
                     true
                 }
                 None => {
-                    self.rma_bad_frame(&mut st, src, win, "put");
+                    st.counters.rma_bad_frames += 1;
                     false
                 }
             }
@@ -638,7 +626,7 @@ impl Session {
         let applied = {
             let mut st = self.inner.state.borrow_mut();
             if !st.rma_windows.contains_key(&win) {
-                self.rma_bad_frame(&mut st, src, win, "put chunk");
+                st.counters.rma_bad_frames += 1;
                 false
             } else {
                 let entry = st.rma_chunks.entry((src, op)).or_insert_with(|| RmaChunks {
@@ -746,7 +734,7 @@ impl Session {
                     true
                 }
                 None => {
-                    self.rma_bad_frame(&mut st, src, win, "get");
+                    st.counters.rma_bad_frames += 1;
                     false
                 }
             }
@@ -805,7 +793,7 @@ impl Session {
                     true
                 }
                 None => {
-                    self.rma_bad_frame(&mut st, src, win, "accumulate");
+                    st.counters.rma_bad_frames += 1;
                     false
                 }
             }

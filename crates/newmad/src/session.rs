@@ -18,7 +18,6 @@ use pioman::{PiomReq, Pioman};
 use pm2_fabric::{MemoryRegistry, Nic, ShmChannel};
 use pm2_marcel::{Marcel, ThreadCtx};
 use pm2_sim::obs::EventKind;
-use pm2_sim::trace::Category;
 use pm2_sim::{Sim, SimDuration};
 use pm2_topo::NodeId;
 use std::cell::RefCell;
@@ -223,11 +222,6 @@ impl Session {
     /// pm2-rma uses it to create per-thread injection endpoints.
     pub fn pioman(&self) -> Option<Pioman> {
         self.inner.pioman.clone()
-    }
-
-    /// The strategy name (for benchmark reports).
-    pub fn strategy_name(&self) -> &'static str {
-        self.inner.strategy.name()
     }
 
     // ----- application API ------------------------------------------------
@@ -625,12 +619,5 @@ impl Session {
                 p.notify_work(ctx.current_core());
             }
         }
-    }
-
-    pub(crate) fn trace(&self, f: impl FnOnce() -> String) {
-        self.inner
-            .sim
-            .trace()
-            .emit_with(self.inner.sim.now(), Category::Proto, f);
     }
 }

@@ -80,8 +80,6 @@ pub struct Submission {
 pub trait Strategy {
     /// Pops the next submission, or `None` if the list is empty.
     fn pop(&self, list: &mut VecDeque<Pack>) -> Option<Submission>;
-    /// Human-readable name (reported in benchmark output).
-    fn name(&self) -> &'static str;
 }
 
 fn single(pack: Pack) -> Submission {
@@ -121,9 +119,6 @@ pub struct FifoStrategy;
 impl Strategy for FifoStrategy {
     fn pop(&self, list: &mut VecDeque<Pack>) -> Option<Submission> {
         list.pop_front().map(single)
-    }
-    fn name(&self) -> &'static str {
-        "fifo"
     }
 }
 
@@ -195,9 +190,6 @@ impl Strategy for AggregStrategy {
             })
         }
     }
-    fn name(&self) -> &'static str {
-        "aggreg"
-    }
 }
 
 /// Submit the smallest eager message first (latency-oriented reordering).
@@ -242,9 +234,6 @@ impl Strategy for ShortestFirstStrategy {
         // lint-allow: position returned by the iterator just above
         let pack = list.remove(pos).expect("index in bounds");
         Some(single(pack))
-    }
-    fn name(&self) -> &'static str {
-        "shortest-first"
     }
 }
 

@@ -18,10 +18,10 @@
 //!   plays in Marcel;
 //! * a seeded xoshiro256** RNG ([`rng::Xoshiro256`]) for workload
 //!   generation and jitter injection;
-//! * measurement helpers ([`stats::OnlineStats`], [`stats::Histogram`]) and
-//!   an event [`trace::Trace`] ring;
-//! * pm2-obs ([`obs::Obs`]): typed span/event records, per-request timeline
-//!   reconstruction and a [`obs::MetricsRegistry`] export path.
+//! * measurement helpers ([`stats::OnlineStats`], [`stats::Histogram`]);
+//! * pm2-obs ([`obs::Obs`]), the one observation channel: typed span/event
+//!   records, per-request timeline reconstruction and a
+//!   [`obs::MetricsRegistry`] export path.
 //!
 //! # Example
 //! ```
@@ -39,28 +39,23 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod channel;
 mod equeue;
 mod executor;
 pub mod obs;
 pub mod rng;
-mod sem;
 mod sim;
 mod slab;
 pub mod stats;
 mod time;
-pub mod trace;
 mod trigger;
 pub mod verify;
 mod virt;
 
-pub use channel::SimChannel;
 pub use executor::TaskId;
 pub use obs::{EventKind, MetricsRegistry, Obs, Site};
-pub use sem::{SemPermit, Semaphore};
 pub use sim::{Sim, TimerHandle};
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};
-pub use trigger::{OneShot, OneShotSender, Trigger};
+pub use trigger::Trigger;
 pub use verify::{LockInversion, RaceFinding, Verify, VerifyReport};
 pub use virt::VirtualEvent;

@@ -1,10 +1,9 @@
 //! pm2-obs: structured observability — typed events, request timelines and
 //! a metrics registry.
 //!
-//! The [`trace::Trace`](crate::trace::Trace) ring records free-form strings
-//! for eyeballing; this module records *typed* events carrying the ids the
-//! engine already tracks (request id, driver id, shard, tasklet id, rendezvous
-//! id), so a run can be reconstructed programmatically: which call site
+//! This is the simulator's one observation channel. It records *typed*
+//! events carrying the ids the engine already tracks (request id, driver
+//! id, shard, tasklet id, rendezvous id), so a run can be reconstructed programmatically: which call site
 //! (inline / idle hook / tasklet) submitted each message to the NIC, when an
 //! RTS met its CTS, how long a request waited end to end.
 //!
@@ -918,10 +917,7 @@ mod tests {
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let obs = Obs::new();
-        obs.set_enabled(true);
-        obs.set_capacity(2);
-        for i in 0..5 {
+        let emit = |obs: &Obs, i: u64| {
             obs.emit(
                 SimTime::from_nanos(i),
                 None,
@@ -929,21 +925,47 @@ mod tests {
                     req: i,
                     latency_ns: 0,
                 },
-            );
+            )
+        };
+        let reqs = |obs: &Obs| -> Vec<u64> {
+            obs.events()
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::ReqComplete { req, .. } => req,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        let obs = Obs::new();
+        obs.set_enabled(true);
+        obs.set_capacity(2);
+        for i in 0..5 {
+            emit(&obs, i);
         }
         assert_eq!(obs.events().len(), 2);
         assert_eq!(obs.dropped(), 3);
         obs.set_capacity(0);
         assert!(obs.events().is_empty());
-        obs.emit(
-            SimTime::ZERO,
-            None,
-            EventKind::ReqComplete {
-                req: 9,
-                latency_ns: 0,
-            },
-        );
+        emit(&obs, 9);
         assert!(obs.events().is_empty());
+
+        // Shrink below the live length, then keep emitting: the ring never
+        // exceeds the new bound again, and every eviction is counted.
+        let obs = Obs::new();
+        obs.set_enabled(true);
+        obs.set_capacity(4);
+        for i in 0..4 {
+            emit(&obs, i);
+        }
+        assert_eq!(obs.dropped(), 0);
+        obs.set_capacity(2);
+        assert_eq!(reqs(&obs), [2, 3]);
+        for i in 4..8 {
+            emit(&obs, i);
+            assert!(obs.events().len() <= 2);
+        }
+        assert_eq!(reqs(&obs), [6, 7]);
+        assert_eq!(obs.dropped(), 6);
     }
 
     #[test]

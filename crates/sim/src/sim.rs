@@ -5,7 +5,6 @@ use crate::executor::{waker_for, TaskId, TaskSlot, WakeList};
 use crate::obs::Obs;
 use crate::rng::Xoshiro256;
 use crate::slab::Slab;
-use crate::trace::Trace;
 use crate::verify::Verify;
 use crate::virt::{VirtualEvent, VirtualQueue};
 use crate::{SimDuration, SimTime};
@@ -36,7 +35,6 @@ struct Inner {
     /// Reusable microtask batch buffer (see [`Sim::drain_microtasks`]).
     drain_scratch: Cell<Vec<usize>>,
     rng: RefCell<Xoshiro256>,
-    trace: Trace,
     obs: Obs,
     verify: Verify,
     executed_events: Cell<u64>,
@@ -93,7 +91,6 @@ impl Sim {
                 spawned: RefCell::new(Vec::new()),
                 drain_scratch: Cell::new(Vec::new()),
                 rng: RefCell::new(Xoshiro256::new(seed)),
-                trace: Trace::new(),
                 obs: Obs::new(),
                 verify: Verify::new(),
                 executed_events: Cell::new(0),
@@ -105,11 +102,6 @@ impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.inner.clock.get()
-    }
-
-    /// The simulation-wide trace ring.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.trace
     }
 
     /// The simulation-wide structured-observability recorder (pm2-obs).
@@ -270,12 +262,6 @@ impl Sim {
         });
         self.inner.spawned.borrow_mut().push(id);
         TaskId(id)
-    }
-
-    /// Requests that `task` be polled at the current time (idempotent-ish;
-    /// extra polls are harmless for well-formed futures).
-    pub fn wake_task(&self, task: TaskId) {
-        self.inner.wakes.post(task.0);
     }
 
     fn poll_task(&self, id: usize) {

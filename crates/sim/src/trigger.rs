@@ -1,4 +1,4 @@
-//! One-shot completion primitives for simulated activities.
+//! The one-shot completion flag simulated activities wait on.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -104,100 +104,6 @@ impl Future for TriggerWait {
     }
 }
 
-/// Sends the single value of a [`OneShot`] channel.
-pub struct OneShotSender<T> {
-    state: Rc<RefCell<OneShotState<T>>>,
-}
-
-/// A single-value, single-consumer rendezvous cell.
-///
-/// Used for request/acknowledgement pairs (e.g. the rendezvous CTS carries
-/// the receiver's buffer descriptor back to the sender).
-pub struct OneShot<T> {
-    state: Rc<RefCell<OneShotState<T>>>,
-}
-
-struct OneShotState<T> {
-    value: Option<T>,
-    taken: bool,
-    waiter: Option<Waker>,
-}
-
-impl<T> OneShot<T> {
-    /// Creates the channel; returns (receiver, sender).
-    pub fn new() -> (OneShot<T>, OneShotSender<T>) {
-        let state = Rc::new(RefCell::new(OneShotState {
-            value: None,
-            taken: false,
-            waiter: None,
-        }));
-        (
-            OneShot {
-                state: Rc::clone(&state),
-            },
-            OneShotSender { state },
-        )
-    }
-
-    /// Awaits the value.
-    ///
-    /// # Panics (on await)
-    /// Panics if awaited twice: the value can be received only once.
-    pub fn recv(self) -> OneShotRecv<T> {
-        OneShotRecv { state: self.state }
-    }
-
-    /// Non-blocking probe: takes the value if it has arrived.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut st = self.state.borrow_mut();
-        let v = st.value.take();
-        if v.is_some() {
-            st.taken = true;
-        }
-        v
-    }
-}
-
-impl<T> OneShotSender<T> {
-    /// Delivers the value and wakes the receiver.
-    ///
-    /// # Panics
-    /// Panics if called twice.
-    pub fn send(self, value: T) {
-        let waker = {
-            let mut st = self.state.borrow_mut();
-            assert!(
-                st.value.is_none() && !st.taken,
-                "OneShotSender::send called twice"
-            );
-            st.value = Some(value);
-            st.waiter.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-}
-
-/// Future returned by [`OneShot::recv`].
-pub struct OneShotRecv<T> {
-    state: Rc<RefCell<OneShotState<T>>>,
-}
-
-impl<T> Future for OneShotRecv<T> {
-    type Output = T;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.state.borrow_mut();
-        if let Some(v) = st.value.take() {
-            st.taken = true;
-            return Poll::Ready(v);
-        }
-        assert!(!st.taken, "OneShot value received twice");
-        st.waiter = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,39 +147,5 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
-    }
-
-    #[test]
-    fn oneshot_delivers_value_across_time() {
-        let sim = Sim::new(0);
-        let (rx, tx) = OneShot::<u32>::new();
-        let got = Rc::new(Cell::new(0u32));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
-            got2.set(rx.recv().await);
-        });
-        sim.schedule_in(SimDuration::from_micros(2), move |_| tx.send(77));
-        sim.run();
-        assert_eq!(got.get(), 77);
-    }
-
-    #[test]
-    fn oneshot_try_recv_probes() {
-        let (rx, tx) = OneShot::<u8>::new();
-        assert_eq!(rx.try_recv(), None);
-        tx.send(5);
-        assert_eq!(rx.try_recv(), Some(5));
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "send called twice")]
-    fn oneshot_double_send_panics() {
-        let (_rx, tx) = OneShot::<u8>::new();
-        let tx2 = OneShotSender {
-            state: Rc::clone(&tx.state),
-        };
-        tx.send(1);
-        tx2.send(2);
     }
 }

@@ -1,37 +1,10 @@
-//! The engine's one backoff schedule, and the light locks of §2.1 as
-//! native reference code.
+//! The engine's one backoff schedule.
 //!
 //! Every exponential wait in PM2-RS — NewMadeleine's retransmit timers
 //! and PIOMAN's driver-quarantine windows — grows by [`exp_factor`], so
 //! the two layers cannot drift apart.
-//!
-//! The paper's §2.1 argues that an event-driven engine can replace a
-//! library-wide mutex with light per-event locks:
-//!
-//! > "As the communication processing runs for a very short period of time,
-//! > the synchronization can be achieved by using light primitives such as
-//! > spinlocks."
-//!
-//! The engine models that claim in virtual time (`pioman::LockModel`,
-//! the `abl_lock` experiment); the simulator runs on one host thread and
-//! never touches the types below. They are the same locks as real
-//! multi-threaded Rust, stress-tested on OS threads:
-//!
-//! * [`SpinLock`] — test-and-test-and-set lock with exponential backoff;
-//! * [`TicketLock`] — fair FIFO spinlock;
-//! * [`Backoff`] and [`CachePadded`] — their supporting utilities.
 
 #![warn(missing_docs)]
-
-mod backoff;
-mod cache_padded;
-mod spin;
-mod ticket;
-
-pub use backoff::Backoff;
-pub use cache_padded::CachePadded;
-pub use spin::{SpinLock, SpinLockGuard};
-pub use ticket::{TicketLock, TicketLockGuard};
 
 /// Bounded exponential growth factor: `2^min(attempt, cap)`.
 ///

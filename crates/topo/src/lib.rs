@@ -177,11 +177,6 @@ impl Topology {
         (0..self.total_cores()).map(CoreId)
     }
 
-    /// Iterates over all nodes.
-    pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes).map(NodeId)
-    }
-
     /// Distance classification between two cores.
     pub fn distance(&self, a: CoreId, b: CoreId) -> Distance {
         if a == b {

@@ -1,5 +1,5 @@
-//! Tracing a communication: every scheduler, tasklet, protocol and
-//! hardware event of one eager send, in virtual-time order.
+//! Tracing a communication: every typed pm2-obs event of one eager send,
+//! in virtual-time order, one line per event as `[at] node kind`.
 //!
 //! ```sh
 //! cargo run --release -p pm2-mpi --example trace
@@ -12,7 +12,8 @@ use pm2_topo::NodeId;
 
 fn main() {
     let cluster = Cluster::build(ClusterConfig::paper_testbed(EngineKind::Pioman));
-    cluster.sim().trace().set_enabled(true);
+    let obs = cluster.sim().obs();
+    obs.set_enabled(true);
 
     {
         let s = cluster.session(0).clone();
@@ -30,9 +31,10 @@ fn main() {
     }
     cluster.run();
 
-    println!("{}", cluster.sim().trace().render());
-    println!(
-        "{} trace records; enable per-category filtering with records_in()",
-        cluster.sim().trace().records().len()
-    );
+    let events = obs.events();
+    for e in &events {
+        let node = e.node.map_or_else(|| "-".to_string(), |n| n.to_string());
+        println!("[{:>12}] {node} {:?}", e.at.to_string(), e.kind);
+    }
+    println!("{} events, {} dropped", events.len(), obs.dropped());
 }
