@@ -220,13 +220,21 @@ pub struct PiomanStats {
     pub thread_progress: u64,
 }
 
+/// The driver registry: one slot per [`DriverId`], `None` once detached.
+type Drivers = Rc<[Option<Rc<dyn ProgressDriver>>]>;
+
 struct Inner {
     sim: Sim,
     marcel: Marcel,
     cfg: PiomanConfig,
     /// Registered drivers; detached slots stay as `None` so ids remain
-    /// stable.
-    drivers: RefCell<Vec<Option<Rc<dyn ProgressDriver>>>>,
+    /// stable. A snapshot, rebuilt on attach and detach, so a progress
+    /// pass holds it with one reference-count bump.
+    drivers: RefCell<Drivers>,
+    /// The drivers' pending states, read before a progress pass polls
+    /// any driver. Taken out of the cell for the pass, so a driver that
+    /// re-enters the registry gets a buffer of its own.
+    pendings: Cell<Vec<DriverPending>>,
     /// Per-driver progress-site counters, parallel to `drivers`.
     driver_stats: RefCell<Vec<PiomanStats>>,
     /// Per-driver health/quarantine state, parallel to `drivers`.
@@ -307,7 +315,8 @@ impl Pioman {
             sim: marcel.sim().clone(),
             marcel: marcel.clone(),
             cfg,
-            drivers: RefCell::new(Vec::new()),
+            drivers: RefCell::new(Rc::new([])),
+            pendings: Cell::new(Vec::new()),
             driver_stats: RefCell::new(Vec::new()),
             driver_health: RefCell::new(Vec::new()),
             rotor: Cell::new(0),
@@ -425,7 +434,9 @@ impl Pioman {
     pub fn attach_driver(&self, driver: Rc<dyn ProgressDriver>) -> DriverId {
         let id = {
             let mut drivers = self.inner.drivers.borrow_mut();
-            drivers.push(Some(driver));
+            let mut list = drivers.to_vec();
+            list.push(Some(driver));
+            *drivers = list.into();
             DriverId(drivers.len() - 1)
         };
         self.inner
@@ -462,12 +473,17 @@ impl Pioman {
     /// drivers are unchanged). Returns false if `id` was already
     /// detached or never existed.
     pub fn detach_driver(&self, id: DriverId) -> bool {
-        let detached = match self.inner.drivers.borrow_mut().get_mut(id.0) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                true
+        let detached = {
+            let mut drivers = self.inner.drivers.borrow_mut();
+            let mut list = drivers.to_vec();
+            match list.get_mut(id.0) {
+                Some(slot @ Some(_)) => {
+                    *slot = None;
+                    *drivers = list.into();
+                    true
+                }
+                _ => false,
             }
-            _ => false,
         };
         if detached {
             self.inner.marcel.wake_parked();
@@ -685,15 +701,31 @@ impl Pioman {
     /// Also returns whether an unproductive poll wrote shared state
     /// (health tracking).
     fn registry_progress(&self) -> (Progress, Option<DriverId>, bool) {
-        let drivers: Vec<Option<Rc<dyn ProgressDriver>>> = self.inner.drivers.borrow().clone();
+        let drivers = Rc::clone(&self.inner.drivers.borrow());
         let n = drivers.len();
         if n == 0 {
             return (Progress::NONE, None, false);
         }
-        let pendings: Vec<DriverPending> = drivers
-            .iter()
-            .map(|s| s.as_ref().map(|d| d.pending()).unwrap_or_default())
-            .collect();
+        let mut pendings = self.inner.pendings.take();
+        pendings.clear();
+        pendings.extend(
+            drivers
+                .iter()
+                .map(|s| s.as_ref().map(|d| d.pending()).unwrap_or_default()),
+        );
+        let out = self.registry_step(&drivers, &pendings);
+        self.inner.pendings.set(pendings);
+        out
+    }
+
+    /// [`Pioman::registry_progress`] over `drivers`, whose pending states
+    /// were read into `pendings` before the step.
+    fn registry_step(
+        &self,
+        drivers: &[Option<Rc<dyn ProgressDriver>>],
+        pendings: &[DriverPending],
+    ) -> (Progress, Option<DriverId>, bool) {
+        let n = drivers.len();
 
         // Phase 1: deferred submissions, oldest first across all queues.
         let burst = self.inner.submission_burst.get();

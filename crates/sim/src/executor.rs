@@ -22,6 +22,10 @@ pub(crate) struct TaskSlot {
     pub(crate) future: Option<Pin<Box<dyn Future<Output = ()>>>>,
     /// Debug label.
     pub(crate) name: Option<String>,
+    /// Built at the first poll and cloned for every later one, so every
+    /// poll hands out the same waker and [`Waker::will_wake`] can dedupe
+    /// them.
+    pub(crate) waker: Option<Waker>,
 }
 
 /// Wake-ups posted by [`Waker`]s; drained by the run loop.

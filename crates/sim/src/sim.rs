@@ -259,21 +259,27 @@ impl Sim {
         let id = self.inner.tasks.borrow_mut().insert(TaskSlot {
             future: Some(Box::pin(fut)),
             name,
+            waker: None,
         });
         self.inner.spawned.borrow_mut().push(id);
         TaskId(id)
     }
 
     fn poll_task(&self, id: usize) {
-        let fut = match self.inner.tasks.borrow_mut().get_mut(id) {
-            Some(slot) => slot.future.take(),
-            None => return, // already completed
-        };
-        let Some(mut fut) = fut else {
-            return; // re-entrant wake while polling; the outer poll handles it
+        let (mut fut, waker) = {
+            let mut tasks = self.inner.tasks.borrow_mut();
+            let Some(slot) = tasks.get_mut(id) else {
+                return; // already completed
+            };
+            let Some(fut) = slot.future.take() else {
+                return; // re-entrant wake while polling; the outer poll handles it
+            };
+            let waker = slot
+                .waker
+                .get_or_insert_with(|| waker_for(id, &self.inner.wakes));
+            (fut, waker.clone())
         };
         self.inner.polls.set(self.inner.polls.get() + 1);
-        let waker = waker_for(id, &self.inner.wakes);
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -470,7 +476,12 @@ impl Future for YieldNow {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/chains.rs"]
+mod chains;
+
+#[cfg(test)]
 mod tests {
+    use super::chains::chain_script;
     use super::*;
     use std::cell::RefCell as StdRefCell;
 
@@ -720,125 +731,11 @@ mod tests {
         assert_eq!(run_once(), run_once());
     }
 
-    /// One chain of the differential below: a periodic event that, once
-    /// woken, runs its next firing for real and starts over.
-    #[derive(Default)]
-    struct Chain {
-        period: u64,
-        fired: u64,
-        /// Started and not woken yet.
-        parked: bool,
-        woken: bool,
-        virt: Option<VirtualEvent>,
-    }
-
-    type Log = Rc<StdRefCell<Vec<(u64, String)>>>;
-    type Chains = Rc<StdRefCell<Vec<Chain>>>;
-
-    fn start_chain(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
-        let at = sim.now() + SimDuration::from_nanos(chains.borrow()[i].period);
-        chains.borrow_mut()[i].fired = 0;
-        chains.borrow_mut()[i].parked = true;
-        if virtual_ {
-            let period = SimDuration::from_nanos(chains.borrow()[i].period);
-            chains.borrow_mut()[i].virt = Some(sim.schedule_virtual(at, period));
-        } else {
-            let (chains, log) = (Rc::clone(chains), Rc::clone(log));
-            sim.schedule_at(at, move |sim| fire_real(sim, &chains, &log, i));
-        }
-    }
-
-    fn fire_real(sim: &Sim, chains: &Chains, log: &Log, i: usize) {
-        let woken = std::mem::take(&mut chains.borrow_mut()[i].woken);
-        if woken {
-            woke(sim, chains, log, i, false);
-        } else {
-            chains.borrow_mut()[i].fired += 1;
-            let at = sim.now() + SimDuration::from_nanos(chains.borrow()[i].period);
-            let (chains, log) = (Rc::clone(chains), Rc::clone(log));
-            sim.schedule_at(at, move |sim| fire_real(sim, &chains, &log, i));
-        }
-    }
-
-    fn woke(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
-        let fired = chains.borrow()[i].fired;
-        log.borrow_mut()
-            .push((sim.now().as_nanos(), format!("chain {i} after {fired}")));
-        start_chain(sim, chains, log, i, virtual_);
-    }
-
-    fn wake(sim: &Sim, chains: &Chains, log: &Log, i: usize, virtual_: bool) {
-        if !std::mem::take(&mut chains.borrow_mut()[i].parked) {
-            return; // not started, or already woken
-        }
-        if virtual_ {
-            let v = chains.borrow_mut()[i].virt.take().expect("parked");
-            let (c2, l2) = (Rc::clone(chains), Rc::clone(log));
-            let (_, _, fired) = sim.materialize(v, move |sim| woke(sim, &c2, &l2, i, true));
-            chains.borrow_mut()[i].fired = fired;
-        } else {
-            chains.borrow_mut()[i].woken = true;
-        }
-    }
-
-    /// A seeded script of probe events on a 10 ns lattice — with delays
-    /// that hit the chains' grids exactly — that wake chains at random.
-    fn chain_script(seed: u64, virtual_: bool) -> Vec<(u64, String)> {
-        let sim = Sim::new(seed);
-        let log: Log = Rc::default();
-        let chains: Chains = Rc::default();
-        for period in [100u64, 230, 230, 500] {
-            chains.borrow_mut().push(Chain {
-                period,
-                ..Chain::default()
-            });
-        }
-        fn probe(sim: &Sim, chains: &Chains, log: &Log, id: u64, virtual_: bool) {
-            log.borrow_mut()
-                .push((sim.now().as_nanos(), format!("probe {id}")));
-            let (roll, pick, delay) = sim.with_rng(|r| {
-                let delays = [0u64, 10, 100, 230, 460, 500, 10 * r.gen_below(100)];
-                (
-                    r.gen_below(3),
-                    r.gen_below(4) as usize,
-                    delays[r.gen_below(7) as usize],
-                )
-            });
-            match roll {
-                0 => {
-                    let (c, l) = (Rc::clone(chains), Rc::clone(log));
-                    sim.schedule_in(SimDuration::from_nanos(delay), move |sim| {
-                        probe(sim, &c, &l, id + 1000, virtual_)
-                    });
-                }
-                1 => wake(sim, chains, log, pick, virtual_),
-                _ => {}
-            }
-        }
-        for i in 0..4 {
-            let start = sim.with_rng(|r| 10 * r.gen_below(200));
-            let (c, l) = (Rc::clone(&chains), Rc::clone(&log));
-            sim.schedule_at(SimTime::from_nanos(start), move |sim| {
-                start_chain(sim, &c, &l, i, virtual_)
-            });
-        }
-        for id in 0..80 {
-            let at = sim.with_rng(|r| 10 * r.gen_below(3000));
-            let (c, l) = (Rc::clone(&chains), Rc::clone(&log));
-            sim.schedule_at(SimTime::from_nanos(at), move |sim| {
-                probe(sim, &c, &l, id, virtual_)
-            });
-        }
-        sim.run_until(SimTime::from_nanos(40_000));
-        let out = log.borrow().clone();
-        out
-    }
-
     #[test]
     fn virtual_periodic_events_order_like_real_ones() {
         for seed in 0..40 {
-            let real = chain_script(seed, false);
-            let virt = chain_script(seed, true);
+            let real = chain_script(seed, &[100, 230, 230, 500], false);
+            let virt = chain_script(seed, &[100, 230, 230, 500], true);
             assert!(real.iter().any(|(_, l)| l.starts_with("chain")));
             assert_eq!(real, virt, "seed {seed}");
         }

@@ -8,8 +8,10 @@
 //! polled model (one event per poll): end time, the scheduler and PIOMAN
 //! counters that count every poll, and a digest of the whole pm2-obs
 //! stream except the per-poll `HookWork` records. A regression guard
-//! checks the saving itself. `PM2_FAULT_SEED` (1, 7 or 42 in the
-//! `ci.sh` matrix; default 1) picks the golden row.
+//! checks the saving itself, and a real-vs-computed differential over
+//! many grids checks the computing. `PM2_FAULT_SEED` (1, 7 or 42 in the
+//! `ci.sh` matrix; default 1) picks the golden row and the differential's
+//! script seeds.
 
 use pm2_coll::ReduceOp;
 use pm2_fabric::{FabricParams, FaultPlan};
@@ -17,10 +19,13 @@ use pm2_mpi::{Cluster, ClusterConfig, Comm};
 use pm2_newmad::{EngineKind, Tag};
 use pm2_sim::obs::EventKind;
 use pm2_sim::rng::Xoshiro256;
-use pm2_sim::{SimDuration, SimTime};
+use pm2_sim::{Sim, SimDuration, SimTime, VirtualEvent};
 use pm2_topo::NodeId;
 use std::cell::Cell;
 use std::rc::Rc;
+
+#[path = "../crates/sim/tests/support/chains.rs"]
+mod chains;
 
 const DEADLINE: SimTime = SimTime::from_secs(60);
 
@@ -324,4 +329,26 @@ fn receive_that_never_arrives_stays_wedged() {
         "{} events in 2 ms of parked polling",
         cluster.sim().executed_events()
     );
+}
+
+/// The computed polling grids match real self-rescheduling events with
+/// many grids live at once: 48 chains, 40 of them sharing the 230 ns idle
+/// poll period, the others on 100 ns and 500 ns. Each `PM2_FAULT_SEED`
+/// runs its own 40 script seeds, so the `ci.sh` matrix covers 120.
+#[test]
+fn many_virtual_grids_order_like_real_ones() {
+    let periods: Vec<u64> = (0..48)
+        .map(|i| match i % 12 {
+            0 => 100,
+            6 => 500,
+            _ => 230,
+        })
+        .collect();
+    let base = 40 * fault_seed();
+    for seed in base..base + 40 {
+        let real = chains::chain_script(seed, &periods, false);
+        let virt = chains::chain_script(seed, &periods, true);
+        assert!(real.iter().any(|(_, l)| l.starts_with("chain")));
+        assert_eq!(real, virt, "script seed {seed}");
+    }
 }
