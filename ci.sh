@@ -42,9 +42,10 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # exactly-once + frame/message balance), coll (algorithm differential),
 # sched (goldens, determinism, liveness, exactly-once at 2k streams), rma
 # (passive-target put/get/accumulate, both progression modes), scale
-# (256-rank storm with balance + probe-linearity, 256-rank determinism) and
-# idle (parked idle cores reproduce the polled goldens; events per message).
-for suite in faults stress coll sched rma scale idle; do
+# (256-rank storm with balance + probe-linearity, 256-rank determinism),
+# idle (parked idle cores reproduce the polled goldens; events per message;
+# no leaked tasks) and drop (a dropped cluster frees every heap byte).
+for suite in faults stress coll sched rma scale idle drop; do
   for seed in 1 7 42; do
     PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test "$suite"
   done

@@ -891,88 +891,77 @@ impl Pioman {
         }
     }
 
-    /// One trigger that fires when *any* attached driver's hardware has
-    /// something to look at. Combines the per-driver triggers in
-    /// registration order; multi-source combinations spawn one forwarder
-    /// task per source.
-    fn combined_hw_trigger(&self) -> Option<Trigger> {
+    /// Every attached driver's hardware wake-up source, in registration
+    /// order, read off the driver snapshot.
+    fn hw_triggers(&self) -> Vec<Trigger> {
         let drivers = self.inner.drivers.borrow();
-        let mut trigs: Vec<Trigger> = Vec::new();
-        for d in drivers.iter().flatten() {
-            if let Some(t) = d.hw_trigger() {
-                trigs.push(t);
-            }
-        }
-        drop(drivers);
-        if trigs.is_empty() {
-            return None;
-        }
-        if trigs.iter().any(|t| t.is_fired()) {
-            let t = Trigger::new();
-            t.fire();
-            return Some(t);
-        }
-        if trigs.len() == 1 {
-            return trigs.pop();
-        }
-        let any = Trigger::new();
-        for t in trigs {
-            let a = any.clone();
-            self.inner.sim.spawn(async move {
-                t.wait().await;
-                a.fire();
-            });
-        }
-        Some(any)
+        drivers
+            .iter()
+            .flatten()
+            .filter_map(|d| d.hw_trigger())
+            .collect()
     }
 
-    /// Keeps a simulated kernel thread blocked on the hardware trigger
+    /// Keeps a simulated kernel thread blocked on the hardware triggers
     /// while some driver is waiting for events (the method of [10]).
+    ///
+    /// The thread waits on every driver's trigger at once through
+    /// [`Trigger::wait_any`], so a re-arm spawns nothing and leaves no
+    /// waker behind on a trigger that never fires (the shm channel of a
+    /// rank without intra-node traffic). Across its waits it holds the
+    /// server, and through it the sim, only by a weak reference: a
+    /// dropped cluster is freed even while its watcher is blocked.
     fn ensure_watcher(&self) {
         if !self.inner.cfg.blocking_call || self.inner.watcher_active.get() {
             return;
         }
-        if self.combined_hw_trigger().is_none() {
+        let drivers = self.inner.drivers.borrow();
+        if !drivers.iter().flatten().any(|d| d.hw_trigger().is_some()) {
             return;
         }
+        drop(drivers);
         self.inner.watcher_active.set(true);
         let weak = Rc::downgrade(&self.inner);
-        let sim = self.inner.sim.clone();
-        let sim2 = sim.clone();
-        sim.spawn_named(Some("pioman-blocking-watcher".into()), async move {
+        let watcher = async move {
             loop {
                 let Some(inner) = weak.upgrade() else { return };
                 let pioman = Pioman { inner };
-                if !pioman.drivers_pending().any() {
+                let trigs = if pioman.drivers_pending().any() {
+                    pioman.hw_triggers()
+                } else {
+                    Vec::new()
+                };
+                if trigs.is_empty() {
                     pioman.inner.watcher_active.set(false);
                     return;
                 }
-                let Some(trig) = pioman.combined_hw_trigger() else {
-                    pioman.inner.watcher_active.set(false);
-                    return;
-                };
-                let cfg = pioman.inner.cfg.clone();
-                drop(pioman);
-                trig.wait().await;
+                let woken = Trigger::wait_any(&trigs);
+                drop((pioman, trigs));
+                woken.await;
                 // Interrupt delivery + kernel-thread scheduling latency.
-                sim2.sleep(cfg.blocking_wake_latency).await;
                 let Some(inner) = weak.upgrade() else { return };
-                let pioman = Pioman { inner };
-                pioman.inner.stats.borrow_mut().blocking_wakeups += 1;
+                let latency = inner.sim.sleep(inner.cfg.blocking_wake_latency);
+                drop(inner);
+                latency.await;
+                let Some(inner) = weak.upgrade() else { return };
+                inner.stats.borrow_mut().blocking_wakeups += 1;
                 // The syscall return and re-entry are charged to the next
                 // progress execution.
-                pioman
-                    .inner
+                inner
                     .carried_cost
-                    .set(pioman.inner.carried_cost.get() + cfg.syscall_cost * 2);
-                if let Some(t) = pioman.inner.tasklet.get() {
-                    pioman.inner.marcel.tasklet_schedule(t, None);
+                    .set(inner.carried_cost.get() + inner.cfg.syscall_cost * 2);
+                if let Some(t) = inner.tasklet.get() {
+                    inner.marcel.tasklet_schedule(t, None);
                 }
                 // Pace re-arming: re-entering the kernel is not free.
-                drop(pioman);
-                sim2.sleep(cfg.blocking_wake_latency).await;
+                let pace = inner.sim.sleep(inner.cfg.blocking_wake_latency);
+                drop(inner);
+                pace.await;
             }
-        });
+        };
+        self.inner
+            .sim
+            .spawn_named(Some("pioman-blocking-watcher".into()), watcher);
     }
 
     /// Waits for every request in `reqs` (equivalent to waiting each in
@@ -1007,7 +996,12 @@ impl Pioman {
             }
             self.ensure_watcher();
             // Block on a trigger fired by whichever request finishes
-            // first.
+            // first. The per-turn forwarders stay (unlike the watcher's,
+            // which `Trigger::wait_any` replaced): each completes when its
+            // request does, so none leaks, and waking the thread straight
+            // from the request triggers reorders same-instant wakes, which
+            // moves the `ring_1024` and `coll_rma_step` counts and the
+            // `tests/idle.rs` `coll_rma_step` golden at seed 1.
             let any = Trigger::new();
             for req in reqs {
                 let t = any.clone();

@@ -403,7 +403,7 @@ impl Sim {
     /// A future that completes `d` of virtual time from now.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
         Sleep {
-            sim: self.clone(),
+            sim: Rc::downgrade(&self.inner),
             deadline: self.now() + d,
             scheduled: false,
         }
@@ -436,8 +436,12 @@ impl std::fmt::Debug for Sim {
 }
 
 /// Future returned by [`Sim::sleep`].
+///
+/// Holds the simulation weakly: a task asleep when the last [`Sim`]
+/// handle is dropped does not keep the simulation, and with it the task
+/// itself, alive.
 pub struct Sleep {
-    sim: Sim,
+    sim: Weak<Inner>,
     deadline: SimTime,
     scheduled: bool,
 }
@@ -445,13 +449,17 @@ pub struct Sleep {
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.sim.now() >= self.deadline {
+        let Some(inner) = self.sim.upgrade() else {
+            return Poll::Pending;
+        };
+        let sim = Sim { inner };
+        if sim.now() >= self.deadline {
             return Poll::Ready(());
         }
         if !self.scheduled {
             self.scheduled = true;
             let waker = cx.waker().clone();
-            self.sim.schedule_at(self.deadline, move |_| waker.wake());
+            sim.schedule_at(self.deadline, move |_| waker.wake());
         }
         Poll::Pending
     }

@@ -66,6 +66,10 @@ fn observed(cfg: ClusterConfig) -> Cluster {
 /// simulator events it executed.
 fn finish(cluster: &Cluster) -> (Outcome, u64) {
     let end = cluster.run_deadline(DEADLINE);
+    // Every activity but an idle rank's blocked watcher has finished: no
+    // task is leaked per re-arm or per message.
+    let live = cluster.sim().live_tasks();
+    assert!(live <= cluster.ranks(), "{live} tasks live after the run");
     let obs = cluster.sim().obs();
     assert_eq!(obs.dropped(), 0, "obs ring too small for the digest");
     let mut o = Outcome {
