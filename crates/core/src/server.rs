@@ -201,7 +201,8 @@ pub struct PiomanStats {
     /// Progress calls made inline by waiting threads.
     pub inline_progress: u64,
     /// Progress calls made from the idle hook. The polls of a parked core
-    /// (see `pm2_marcel::HookResult::Idle`) are added when it wakes.
+    /// (see `pm2_marcel::HookResult::Idle`) are added when it wakes, when
+    /// a change rings and when the counters are read.
     pub hook_progress: u64,
     /// Progress calls made from the progress tasklet.
     pub tasklet_progress: u64,
@@ -504,6 +505,7 @@ impl Pioman {
     /// Progress-site counters attributed to one driver. Counters survive
     /// a detach. Returns default (all-zero) stats for unknown ids.
     pub fn driver_stats(&self, id: DriverId) -> PiomanStats {
+        self.inner.marcel.credit_parked();
         self.inner
             .driver_stats
             .borrow()
@@ -635,6 +637,7 @@ impl Pioman {
 
     /// Counter snapshot.
     pub fn stats(&self) -> PiomanStats {
+        self.inner.marcel.credit_parked();
         *self.inner.stats.borrow()
     }
 
@@ -1081,6 +1084,25 @@ impl IdleHook for IdleProgress {
         } else {
             HookResult::Worked(p.cost)
         }
+    }
+
+    /// Every driver's pending state, in registry order, folded with
+    /// FNV-1a: what a poll reads before it touches any driver, the same
+    /// on every core.
+    fn view(&self) -> Option<u64> {
+        let Some(inner) = self.inner.upgrade() else {
+            return Some(0);
+        };
+        let drivers = inner.drivers.borrow();
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for slot in drivers.iter() {
+            let p = slot.as_ref().map(|d| d.pending()).unwrap_or_default();
+            let rank = p.oldest_submission.map_or(0, |r| r.wrapping_add(1));
+            for word in [p.submissions as u64, p.armed as u64, rank] {
+                h = (h ^ word).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        Some(h)
     }
 
     /// Replays the counters of `sweeps` repeats of the last parking poll.

@@ -14,7 +14,9 @@
 //!   communication progress (§4.3). A core whose hooks poll without
 //!   finding work parks until [`Marcel::doorbell`] or
 //!   [`Marcel::wake_parked`] reports a change; its polling is computed,
-//!   not simulated ([`HookResult::Idle`]).
+//!   not simulated ([`HookResult::Idle`]). A change wakes one parked core
+//!   of the node, whose sweep speaks for the others when every hook
+//!   answers [`IdleHook::view`].
 //! * **Triggers** — periodic timers and explicit kicks, the other two
 //!   occasions on which Marcel schedules PIOMAN ("CPU idleness, context
 //!   switches, timer interrupts").

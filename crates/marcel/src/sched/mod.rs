@@ -74,6 +74,32 @@ pub(crate) struct Parked {
     /// CPU time each sweep charges (zero: the core stays idle between
     /// sweeps, which come every `idle_poll_period`).
     pub(crate) cost: SimDuration,
+    /// Firings of `sweeps` already counted as sweeps (see
+    /// [`Marcel::credit_parked`]).
+    pub(crate) credited: u64,
+}
+
+/// How a change to what idle sweeps read reaches the parked cores
+/// (DESIGN.md §10).
+pub(crate) struct Bell {
+    /// Every hook answers [`IdleHook::view`]: no poll reads anything
+    /// core-dependent, so one pure sweep after a change speaks for every
+    /// parked core and a change wakes only the first of them. Otherwise
+    /// each change wakes every parked core.
+    pub(crate) one_wake: bool,
+    /// A change rang and no pure sweep has observed it yet.
+    pub(crate) dirty: bool,
+    /// While dirty: the core whose pending run sweeps ahead of every
+    /// parked core, and the `(time, seq)` key it was given. Cleared when
+    /// that run starts.
+    pub(crate) observer: Option<(usize, (SimTime, u64))>,
+    /// The hooks' views at the pure sweep that last cleaned the node.
+    #[cfg(debug_assertions)]
+    pub(crate) views: Vec<Option<u64>>,
+    /// The check parked sweeps run as they fire
+    /// ([`Sim::add_virtual_check`]).
+    #[cfg(debug_assertions)]
+    pub(crate) check: usize,
 }
 
 impl Core {
@@ -87,7 +113,7 @@ impl Core {
     /// `busy_until` as the polling core would show it.
     fn polled_busy_until(&self, sim: &Sim) -> SimTime {
         match &self.parked {
-            Some(p) if !p.cost.is_zero() => sim.virtual_next(&p.sweeps),
+            Some(p) if !p.cost.is_zero() => sim.virtual_key(&p.sweeps).0,
             _ => self.busy_until,
         }
     }
@@ -105,6 +131,7 @@ pub(crate) struct State {
     pub(crate) tasklet_queue: VecDeque<TaskletId>,
     pub(crate) runq: RunQueues,
     pub(crate) hooks: Hooks,
+    pub(crate) bell: Bell,
     pub(crate) stats: SchedStats,
     /// Per-shard counts of idle-hook work events
     /// ([`HookResult::WorkedOn`]), indexed by shard.
@@ -112,6 +139,17 @@ pub(crate) struct State {
     /// Per-shard counts of tasklet work events
     /// ([`crate::TaskletRun::note_shard`]), indexed by shard.
     pub(crate) tasklet_shard_work: Vec<u64>,
+}
+
+impl State {
+    /// True if any enabled tasklet is waiting to run.
+    pub(crate) fn tasklet_ready(&self) -> bool {
+        self.tasklet_queue.iter().any(|t| {
+            self.tasklets
+                .get(t.0)
+                .is_some_and(|r| r.disabled == 0 && !r.running)
+        })
+    }
 }
 
 pub(crate) struct Inner {
@@ -159,7 +197,7 @@ impl Marcel {
                 parked: None,
             })
             .collect();
-        Marcel {
+        let marcel = Marcel {
             inner: Rc::new(Inner {
                 sim,
                 topo,
@@ -172,12 +210,33 @@ impl Marcel {
                     tasklet_queue: VecDeque::new(),
                     runq,
                     hooks: Rc::new([]),
+                    // No sweep has observed anything yet.
+                    bell: Bell {
+                        one_wake: true,
+                        dirty: true,
+                        observer: None,
+                        #[cfg(debug_assertions)]
+                        views: Vec::new(),
+                        #[cfg(debug_assertions)]
+                        check: 0,
+                    },
                     stats: SchedStats::default(),
                     hook_shard_work: Vec::new(),
                     tasklet_shard_work: Vec::new(),
                 }),
             }),
+        };
+        #[cfg(debug_assertions)]
+        {
+            let weak = Rc::downgrade(&marcel.inner);
+            let check = marcel.inner.sim.add_virtual_check(move || {
+                if let Some(inner) = weak.upgrade() {
+                    Marcel { inner }.parking_oracle();
+                }
+            });
+            marcel.inner.state.borrow_mut().bell.check = check;
         }
+        marcel
     }
 
     /// The underlying simulation.
@@ -208,9 +267,10 @@ impl Marcel {
     // ----- core engine ----------------------------------------------------
 
     /// The doorbell: state the idle cores poll has changed (a frame or a
-    /// shared-memory message arrived, a retransmission was queued). Every
-    /// parked core re-sweeps at the first grid instant that would observe
-    /// the change, and every idle core is nudged to look now.
+    /// shared-memory message arrived, a retransmission was queued). It
+    /// rings [`Marcel::wake_parked`], so the first parked core to sweep
+    /// after the change observes it, and nudges every idle core to look
+    /// now.
     pub fn doorbell(&self) {
         self.wake_parked();
         let now = self.inner.sim.now();
@@ -228,18 +288,94 @@ impl Marcel {
     }
 
     /// State an idle sweep reads has changed (PIOMAN queued or completed
-    /// work, a thread or tasklet became ready): every parked core gets one
-    /// real `run_core` at its next grid instant — the first sweep that
-    /// would have observed the change. Idle cores are left alone; callers
-    /// that also want them nudged ring [`Marcel::doorbell`].
+    /// work, a thread or tasklet became ready): the ring. The node turns
+    /// *dirty*, and the parked core whose next sweep has the smallest
+    /// `(time, seq)` key — the first that would read the change — gets
+    /// that sweep as a real `run_core`, unless a run already pending is
+    /// ahead of every parked core. That core is the node's *observer*.
+    /// When its run ends after a pure sweep with nothing runnable, the
+    /// node is clean and every other parked core stays computed: no
+    /// sweep reads anything core-dependent, so the observer's proves
+    /// theirs pure too. Any other ending wakes the next parked core in
+    /// key order. The sweeps parked cores made before the ring are
+    /// counted at the ring, under the state they read. Idle cores are
+    /// left alone; callers that also want them nudged ring
+    /// [`Marcel::doorbell`].
     ///
-    /// Costs nothing in virtual time: the sweep it turns real was in the
+    /// A node whose hooks do not all answer [`IdleHook::view`] wakes every
+    /// parked core at every ring instead.
+    ///
+    /// Costs nothing in virtual time: a sweep it turns real was in the
     /// polled schedule anyway, at the same `(time, seq)` slot.
     pub fn wake_parked(&self) {
-        let n = self.inner.state.borrow().cores.len();
-        for local in 0..n {
-            self.unpark_core(local);
+        let (one, dirty, observer) = {
+            let st = self.inner.state.borrow();
+            (st.bell.one_wake, st.bell.dirty, st.bell.observer.is_some())
+        };
+        if !one {
+            let n = self.inner.state.borrow().cores.len();
+            for local in 0..n {
+                self.unpark_core(local);
+            }
+            return;
         }
+        if !dirty {
+            // The sweeps made so far read the state this change ends.
+            self.credit_parked();
+            self.inner.state.borrow_mut().bell.dirty = true;
+        }
+        if !observer {
+            self.wake_observer();
+        }
+    }
+
+    /// Counts the sweeps parked cores have made so far as run, here and in
+    /// every hook ([`IdleHook::skipped`]), so counters read mid-run are
+    /// exact. [`Marcel::stats`] calls it; a library reading its own
+    /// counters fed by the hooks calls it first.
+    pub fn credit_parked(&self) {
+        let (swept, hooks) = {
+            let mut st = self.inner.state.borrow_mut();
+            let mut swept = 0;
+            for c in &mut st.cores {
+                if let Some(p) = &mut c.parked {
+                    let fired = self.inner.sim.virtual_fired(&p.sweeps);
+                    swept += fired - p.credited;
+                    p.credited = fired;
+                }
+            }
+            st.stats.hook_sweeps += swept;
+            (swept, Rc::clone(&st.hooks))
+        };
+        if swept > 0 {
+            for hook in hooks.iter() {
+                hook.skipped(swept);
+            }
+        }
+    }
+
+    /// Makes the parked core whose next sweep comes first the observer:
+    /// that sweep becomes its real pending run.
+    fn wake_observer(&self) {
+        let first = {
+            let st = self.inner.state.borrow();
+            let sim = &self.inner.sim;
+            st.cores
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| c.parked.as_ref().map(|p| (sim.virtual_key(&p.sweeps), i)))
+                .min()
+        };
+        if let Some((key, local)) = first {
+            self.observe_from(local, key);
+        }
+    }
+
+    /// Makes parked core `local`, whose next sweep is keyed `key`, the
+    /// observer.
+    fn observe_from(&self, local: usize, key: (SimTime, u64)) {
+        self.unpark_core(local);
+        self.inner.state.borrow_mut().bell.observer = Some((local, key));
     }
 
     /// Turns a parked core's next virtual sweep into its real pending run,
@@ -255,10 +391,11 @@ impl Marcel {
                 None => return,
             }
         };
-        let (at, handle, swept) = self
+        let (at, handle, fired) = self
             .inner
             .sim
             .materialize(p.sweeps, self.run_event(local, core));
+        let swept = fired - p.credited;
         let hooks = {
             let mut st = self.inner.state.borrow_mut();
             st.stats.hook_sweeps += swept;
@@ -296,7 +433,6 @@ impl Marcel {
                     .inner
                     .topo
                     .neighbours_by_distance(o)
-                    .into_iter()
                     .find(|&cand| {
                         let local = self.inner.topo.local_index(cand);
                         let c = &st.cores[local];
@@ -337,15 +473,67 @@ impl Marcel {
     fn run_event(&self, local: usize, core: CoreId) -> impl FnOnce(&Sim) + 'static {
         let marcel = self.clone();
         move |_| {
-            marcel.inner.state.borrow_mut().cores[local].scheduled_run = None;
+            {
+                let mut st = marcel.inner.state.borrow_mut();
+                st.cores[local].scheduled_run = None;
+                if st.bell.observer.is_some_and(|(o, _)| o == local) {
+                    st.bell.observer = None;
+                }
+            }
             marcel.run_core(core);
         }
     }
 
-    /// The per-core work loop: tasklets first, then threads, then idle
-    /// hooks.
-    pub(crate) fn run_core(&self, core: CoreId) {
+    /// One run of `core`: the work loop, then the node's wake rule.
+    fn run_core(&self, core: CoreId) {
         let local = self.local(core);
+        let parked = self.work_loop(core, local);
+        self.after_run(local, parked);
+    }
+
+    /// Ends a run of `local` on a dirty node (see [`Marcel::wake_parked`]).
+    /// `parked`: the run ended in a pure sweep. With no thread or tasklet
+    /// runnable that sweep observed the change, and the node is clean.
+    /// Otherwise the node stays dirty and needs an observer ahead of every
+    /// parked core: the first parked core if none is pending, or this one
+    /// if it parked ahead of the pending observer.
+    fn after_run(&self, local: usize, parked: bool) {
+        let mut st = self.inner.state.borrow_mut();
+        if !st.bell.one_wake || !st.bell.dirty {
+            return;
+        }
+        if parked && st.runq.len() == 0 && !st.tasklet_ready() {
+            st.bell.dirty = false;
+            st.bell.observer = None;
+            #[cfg(debug_assertions)]
+            {
+                let hooks = Rc::clone(&st.hooks);
+                drop(st);
+                let views = hooks.iter().map(|h| h.view()).collect();
+                self.inner.state.borrow_mut().bell.views = views;
+            }
+            return;
+        }
+        match st.bell.observer {
+            None => {
+                drop(st);
+                self.wake_observer();
+            }
+            Some((_, ahead)) if parked => {
+                let p = st.cores[local].parked.as_ref().expect("parked core");
+                let key = self.inner.sim.virtual_key(&p.sweeps);
+                if key < ahead {
+                    drop(st);
+                    self.observe_from(local, key);
+                }
+            }
+            Some(_) => {}
+        }
+    }
+
+    /// The per-core work loop: tasklets first, then threads, then idle
+    /// hooks. True if it ended by parking the core after a pure sweep.
+    fn work_loop(&self, core: CoreId, local: usize) -> bool {
         loop {
             let now = self.inner.sim.now();
             // Phase 0: occupied?
@@ -353,14 +541,14 @@ impl Marcel {
                 let st = self.inner.state.borrow();
                 let c = &st.cores[local];
                 if c.current.is_some() {
-                    return; // the running thread will release the core
+                    return false; // the running thread will release the core
                 }
                 if c.busy_until > now {
                     // Tasklet/hook work in flight: come back when it ends.
                     let until = c.busy_until;
                     drop(st);
                     self.schedule_run(core, until - now);
-                    return;
+                    return false;
                 }
             }
             // Phase 1: tasklets. The invocation penalty (cross-CPU
@@ -380,7 +568,7 @@ impl Marcel {
                         st.cores[local].busy_until = now + cost;
                         drop(st);
                         self.schedule_run(core, cost);
-                        return;
+                        return false;
                     }
                     continue;
                 }
@@ -396,7 +584,7 @@ impl Marcel {
                     marcel.inner.state.borrow_mut().cores[local].busy_until = t + cost;
                     marcel.schedule_run(core, cost);
                 });
-                return;
+                return false;
             }
             // Phase 2: threads — the best eligible one for this core.
             let popped = self.inner.state.borrow_mut().runq.pop_for(local);
@@ -424,7 +612,7 @@ impl Marcel {
                 if self.ready_thread_count() > 0 {
                     self.kick_idle_near(None);
                 }
-                return;
+                return false;
             }
             // Phase 3: idle hooks.
             match self.hook_sweep(core, now) {
@@ -435,11 +623,14 @@ impl Marcel {
                     self.inner.state.borrow_mut().cores[local].busy_until = now + cost;
                     self.schedule_run(core, cost);
                 }
-                Sweep::Idle(cost) => self.park(local, now, cost),
+                Sweep::Idle(cost) => {
+                    self.park(local, now, cost);
+                    return true;
+                }
                 // Truly idle: sleep until kicked.
                 Sweep::Nothing => {}
             }
-            return;
+            return false;
         }
     }
 
@@ -455,12 +646,18 @@ impl Marcel {
         };
         let sweeps = self.inner.sim.schedule_virtual(now + step, step);
         let mut st = self.inner.state.borrow_mut();
+        #[cfg(debug_assertions)]
+        self.inner.sim.tag_virtual(&sweeps, st.bell.check);
         let c = &mut st.cores[local];
         debug_assert!(c.scheduled_run.is_none(), "a pure sweep kicked its core");
         if !cost.is_zero() {
             c.busy_until = now + cost;
         }
-        c.parked = Some(Parked { sweeps, cost });
+        c.parked = Some(Parked {
+            sweeps,
+            cost,
+            credited: 0,
+        });
     }
 
     pub(crate) fn wake_dispatch(&self, thread: ThreadId) {

@@ -13,7 +13,8 @@ pub struct SchedStats {
     /// Tasklet schedules that coalesced into a pending one.
     pub tasklet_coalesced: u64,
     /// Idle-hook sweep invocations. The sweeps of a parked core (see
-    /// [`crate::HookResult::Idle`]) are added when it wakes.
+    /// [`crate::HookResult::Idle`]) are added when it wakes, when a change
+    /// rings and when the counters are read.
     pub hook_sweeps: u64,
     /// Tasklet executions that stole cycles from a computing thread.
     pub compute_steals: u64,
@@ -50,8 +51,10 @@ pub(crate) fn bump_shard(v: &mut Vec<u64>, shard: u32) {
 }
 
 impl Marcel {
-    /// Snapshot of the activity counters.
+    /// Snapshot of the activity counters, the sweeps parked cores have
+    /// made so far included.
     pub fn stats(&self) -> SchedStats {
+        self.credit_parked();
         self.inner.state.borrow().stats
     }
 

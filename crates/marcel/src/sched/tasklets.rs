@@ -93,13 +93,7 @@ impl Marcel {
 
     /// True if any enabled tasklet is waiting to run.
     pub fn has_pending_tasklet(&self) -> bool {
-        let st = self.inner.state.borrow();
-        st.tasklet_queue.iter().any(|t| {
-            st.tasklets
-                .get(t.0)
-                .map(|r| r.disabled == 0 && !r.running)
-                .unwrap_or(false)
-        })
+        self.inner.state.borrow().tasklet_ready()
     }
 
     /// Pops the next runnable tasklet id, skipping disabled/running ones.

@@ -589,3 +589,189 @@ fn stats_track_pop_locality_mix() {
     );
     assert_eq!(s.pop_core, 1, "one strict-affinity dispatch");
 }
+
+/// What [`ViewedHook`] answers: parked-idle (pure, 230 ns a poll), one
+/// productive poll, or nothing to wait for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Idle,
+    WorkOnce,
+    Nothing,
+}
+
+/// A core-independent hook that answers [`IdleHook::view`], so its node
+/// wakes one parked core per change; records `(instant ns, core)` of
+/// every poll it really runs.
+struct ViewedHook {
+    mode: Rc<Cell<Mode>>,
+    polls: Seen,
+}
+
+impl IdleHook for ViewedHook {
+    fn poll(&self, m: &Marcel, core: CoreId) -> HookResult {
+        self.polls
+            .borrow_mut()
+            .push((m.sim().now().as_nanos(), core.0));
+        match self.mode.get() {
+            Mode::Idle => HookResult::Idle(SimDuration::from_nanos(230)),
+            Mode::WorkOnce => {
+                self.mode.set(Mode::Idle);
+                HookResult::Worked(SimDuration::from_nanos(50))
+            }
+            Mode::Nothing => HookResult::Nothing,
+        }
+    }
+
+    fn view(&self) -> Option<u64> {
+        Some(self.mode.get() as u64)
+    }
+}
+
+/// Four cores that park at 0, 50, 100 and 150 ns on a [`ViewedHook`]:
+/// after 500 ns their next sweeps are at 690, 510, 560 and 610 ns.
+fn four_parked() -> (Sim, Marcel, Rc<Cell<Mode>>, Seen) {
+    let (sim, m) = setup(4);
+    let mode = Rc::new(Cell::new(Mode::Idle));
+    let polls: Seen = Rc::default();
+    m.register_idle_hook(ViewedHook {
+        mode: Rc::clone(&mode),
+        polls: Rc::clone(&polls),
+    });
+    for c in 0..4u64 {
+        m.spawn(
+            "t",
+            Priority::Normal,
+            Some(CoreId(c as usize)),
+            move |ctx| async move {
+                ctx.compute(SimDuration::from_nanos(50 * c)).await;
+            },
+        );
+    }
+    sim.run_until(SimTime::from_nanos(400));
+    polls.borrow_mut().clear();
+    (sim, m, mode, polls)
+}
+
+/// Which cores are parked, by local index.
+fn parked(m: &Marcel) -> Vec<bool> {
+    let st = m.inner.state.borrow();
+    st.cores.iter().map(|c| c.parked.is_some()).collect()
+}
+
+/// Rings at 500 ns after `change`, runs to 2 µs, and returns the polls
+/// run for real after the ring and the sweeps counted at 2 µs.
+fn ring_at_500(
+    sim: &Sim,
+    m: &Marcel,
+    polls: &Seen,
+    change: impl FnOnce() + 'static,
+) -> (Vec<(u64, usize)>, u64) {
+    let m2 = m.clone();
+    sim.schedule_at(SimTime::from_nanos(500), move |_| {
+        change();
+        m2.wake_parked();
+    });
+    let sweeps = Rc::new(Cell::new(0));
+    let (m3, sweeps2) = (m.clone(), Rc::clone(&sweeps));
+    sim.schedule_at(SimTime::from_micros(2), move |_| {
+        sweeps2.set(m3.stats().hook_sweeps);
+    });
+    sim.run_until(SimTime::from_micros(2));
+    let seen = polls.borrow().clone();
+    (seen, sweeps.get())
+}
+
+/// The sweeps the polled model makes by 2 µs: core `c` from `50c` ns on,
+/// every 230 ns.
+fn polled_by_2us(cores: u64) -> u64 {
+    (0..cores).map(|c| (2_000 - 50 * c) / 230 + 1).sum()
+}
+
+#[test]
+fn a_ring_materializes_only_the_earliest_parked_core() {
+    let (sim, m, _mode, _polls) = four_parked();
+    assert_eq!(parked(&m), vec![true; 4]);
+    let m2 = m.clone();
+    let checked = Rc::new(Cell::new(false));
+    let checked2 = Rc::clone(&checked);
+    sim.schedule_at(SimTime::from_nanos(500), move |sim| {
+        let keys: Vec<(SimTime, u64)> = {
+            let st = m2.inner.state.borrow();
+            st.cores
+                .iter()
+                .map(|c| sim.virtual_key(&c.parked.as_ref().unwrap().sweeps))
+                .collect()
+        };
+        let first = (0..4).min_by_key(|&i| keys[i]).unwrap();
+        assert_eq!((first, keys[first].0), (1, SimTime::from_nanos(510)));
+        m2.wake_parked();
+        assert_eq!(parked(&m2), vec![true, false, true, true]);
+        let st = m2.inner.state.borrow();
+        assert_eq!(st.bell.observer, Some((1, keys[1])));
+        assert_eq!(st.cores[1].scheduled_run.as_ref().unwrap().0, keys[1].0);
+        checked2.set(true);
+    });
+    sim.run_until(SimTime::from_nanos(505));
+    assert!(checked.get());
+}
+
+#[test]
+fn a_productive_sweep_wakes_the_next_earliest_core() {
+    let (sim, m, mode, polls) = four_parked();
+    let (seen, _) = ring_at_500(&sim, &m, &polls, move || mode.set(Mode::WorkOnce));
+    // Core 1 works at 510 and re-sweeps 50 ns later; core 2, next in key
+    // order, sweeps pure at 560 and cleans the node: 3 and 0 stay parked.
+    assert_eq!(seen, vec![(510, 1), (560, 2), (560, 1)]);
+    assert_eq!(parked(&m), vec![true; 4]);
+    assert!(!m.inner.state.borrow().bell.dirty);
+}
+
+#[test]
+fn a_pure_sweep_leaves_the_other_cores_parked() {
+    let (sim, m, _mode, polls) = four_parked();
+    let (seen, sweeps) = ring_at_500(&sim, &m, &polls, || {});
+    assert_eq!(seen, vec![(510, 1)]);
+    assert_eq!(parked(&m), vec![true; 4]);
+    // Counted as the polled model would: the sweeps the three parked
+    // cores made before the ring were credited at the ring.
+    assert_eq!(sweeps, polled_by_2us(4));
+}
+
+#[test]
+fn a_sweep_that_finds_nothing_wakes_the_next_core_at_its_own_slot() {
+    let (sim, m, mode, polls) = four_parked();
+    let (seen, _) = ring_at_500(&sim, &m, &polls, move || mode.set(Mode::Nothing));
+    assert_eq!(seen, vec![(510, 1), (560, 2), (610, 3), (690, 0)]);
+    assert_eq!(parked(&m), vec![false; 4]);
+    let st = m.inner.state.borrow();
+    assert!(st.cores.iter().all(|c| c.scheduled_run.is_none()));
+    assert!(st.bell.dirty, "no pure sweep observed the change");
+}
+
+#[test]
+fn counters_read_mid_run_include_the_parked_sweeps() {
+    let (sim, m) = setup(1);
+    let mode = Rc::new(Cell::new(Mode::Idle));
+    m.register_idle_hook(ViewedHook {
+        mode: Rc::clone(&mode),
+        polls: Rc::default(),
+    });
+    touch_cores(&m, &[0]);
+    let read = Rc::new(Cell::new(0));
+    let (m2, read2) = (m.clone(), Rc::clone(&read));
+    sim.schedule_at(SimTime::from_micros(500), move |_| {
+        read2.set(m2.stats().hook_sweeps);
+    });
+    let m3 = m.clone();
+    sim.schedule_at(SimTime::from_millis(1), move |_| {
+        mode.set(Mode::Nothing);
+        m3.wake_parked();
+    });
+    sim.run();
+    // Parked from its first sweep at 0 until 1 ms: the read at 500 µs
+    // sees the sweeps at 0, 230, …, 499 790 ns.
+    assert_eq!(read.get(), 500_000 / 230 + 1);
+    // The sweep at 1 000 040 ns, the first after the change, ran for
+    // real; the total is unchanged by the read.
+    assert_eq!(m.stats().hook_sweeps, 1_000_000 / 230 + 2);
+}

@@ -39,6 +39,21 @@ struct Inner {
     verify: Verify,
     executed_events: Cell<u64>,
     polls: Cell<u64>,
+    /// The checks computed firings run (see [`Sim::add_virtual_check`]).
+    #[cfg(debug_assertions)]
+    virt_checks: RefCell<VirtChecks>,
+}
+
+/// Debug builds: checks run when tagged virtual events fire.
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct VirtChecks {
+    /// Each check, and the last step that ran it.
+    checks: Vec<(Rc<dyn Fn()>, u64)>,
+    /// Per virtual-event slot: the check its firings run, if any.
+    tags: Vec<Option<usize>>,
+    /// Steps that fired anything so far.
+    steps: u64,
 }
 
 /// Cancellation handle for a scheduled event (see [`Sim::schedule_in`]).
@@ -95,6 +110,8 @@ impl Sim {
                 verify: Verify::new(),
                 executed_events: Cell::new(0),
                 polls: Cell::new(0),
+                #[cfg(debug_assertions)]
+                virt_checks: RefCell::new(VirtChecks::default()),
             }),
         }
     }
@@ -197,15 +214,35 @@ impl Sim {
         let at = first.max(self.now());
         let seq = self.inner.seq.get();
         self.inner.seq.set(seq + 1);
-        self.inner
+        let v = self
+            .inner
             .virt
             .borrow_mut()
-            .insert(at, seq, period.as_nanos())
+            .insert(at, seq, period.as_nanos());
+        #[cfg(debug_assertions)]
+        if let Some(tag) = self
+            .inner
+            .virt_checks
+            .borrow_mut()
+            .tags
+            .get_mut(v.slot() as usize)
+        {
+            *tag = None;
+        }
+        v
     }
 
-    /// Instant of the next firing of `v` (never before [`Sim::now`]).
-    pub fn virtual_next(&self, v: &VirtualEvent) -> SimTime {
-        self.inner.virt.borrow().next_at(v)
+    /// The `(time, seq)` key of the next firing of `v` (never before
+    /// [`Sim::now`]): the slot [`Sim::materialize`] would give its real
+    /// event.
+    pub fn virtual_key(&self, v: &VirtualEvent) -> (SimTime, u64) {
+        self.inner.virt.borrow().key(v)
+    }
+
+    /// The firings `v` made so far: those keyed before the real event
+    /// running now, or before the last one run.
+    pub fn virtual_fired(&self, v: &VirtualEvent) -> u64 {
+        self.inner.virt.borrow().fired(v)
     }
 
     /// Ends `v`, turning its next firing into a real event: `action` runs
@@ -218,6 +255,60 @@ impl Sim {
     {
         let (at, seq, fired) = self.inner.virt.borrow_mut().remove(v);
         (at, self.insert_event(at, seq, action), fired)
+    }
+
+    /// Debug builds only: registers `check`, which runs after the
+    /// firings of each step (the virtual events fired before one real
+    /// event) that fired a virtual event tagged with the returned id (see
+    /// [`Sim::tag_virtual`]). That is when a computed firing stands in for
+    /// a real event, so the assumption that made it computable must hold.
+    #[cfg(debug_assertions)]
+    pub fn add_virtual_check(&self, check: impl Fn() + 'static) -> usize {
+        let mut vc = self.inner.virt_checks.borrow_mut();
+        vc.checks.push((Rc::new(check), 0));
+        vc.checks.len() - 1
+    }
+
+    /// Debug builds only: the firings of `v` run check `id` (see
+    /// [`Sim::add_virtual_check`]).
+    #[cfg(debug_assertions)]
+    pub fn tag_virtual(&self, v: &VirtualEvent, id: usize) {
+        let mut vc = self.inner.virt_checks.borrow_mut();
+        let slot = v.slot() as usize;
+        if vc.tags.len() <= slot {
+            vc.tags.resize(slot + 1, None);
+        }
+        vc.tags[slot] = Some(id);
+    }
+
+    /// Fires like [`VirtualQueue::fire_before`]; returns, once each, the
+    /// checks of the virtual events that fired.
+    #[cfg(debug_assertions)]
+    fn fire_checked(
+        &self,
+        virt: &mut VirtualQueue,
+        next: (SimTime, u64),
+        seq: &mut u64,
+    ) -> Vec<Rc<dyn Fn()>> {
+        let mut due = Vec::new();
+        {
+            let mut vc = self.inner.virt_checks.borrow_mut();
+            vc.steps += 1;
+            let VirtChecks {
+                checks,
+                tags,
+                steps,
+            } = &mut *vc;
+            virt.fire_before(next, seq, &mut |slot| {
+                if let Some(&Some(id)) = tags.get(slot as usize) {
+                    if checks[id].1 != *steps {
+                        checks[id].1 = *steps;
+                        due.push(Rc::clone(&checks[id].0));
+                    }
+                }
+            });
+        }
+        due
     }
 
     /// Fires the virtual events keyed before the next real event, if that
@@ -236,8 +327,18 @@ impl Sim {
             return;
         }
         let mut seq = self.inner.seq.get();
-        virt.fire_before(next, &mut seq);
+        #[cfg(not(debug_assertions))]
+        virt.fire_before(next, &mut seq, &mut |_| {});
+        #[cfg(debug_assertions)]
+        let due = self.fire_checked(&mut virt, next, &mut seq);
         self.inner.seq.set(seq);
+        #[cfg(debug_assertions)]
+        {
+            drop(virt);
+            for check in due {
+                check();
+            }
+        }
     }
 
     // ----- tasks --------------------------------------------------------
@@ -762,7 +863,7 @@ mod tests {
         // one at 1 µs itself took its seq later, so it sorts after.
         sim.schedule_at(SimTime::from_micros(1), |_| {});
         sim.run_until(SimTime::from_micros(1));
-        assert_eq!(sim.virtual_next(&v), SimTime::from_micros(1));
+        assert_eq!(sim.virtual_key(&v).0, SimTime::from_micros(1));
         let (at, h, fired) = sim.materialize(v, |_| {});
         assert_eq!(at, SimTime::from_micros(1));
         assert_eq!(fired, 9, "firings at 100, 200, …, 900 ns");

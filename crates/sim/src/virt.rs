@@ -54,6 +54,14 @@ pub struct VirtualEvent {
     lane: u32,
 }
 
+impl VirtualEvent {
+    /// The arena slot naming this event among the live ones.
+    #[cfg(debug_assertions)]
+    pub(crate) fn slot(&self) -> u32 {
+        self.slot
+    }
+}
+
 /// One virtual event: its next firing's key, its first firing's instant
 /// (the firings it made are the periods between the two), and its
 /// neighbours in its lane's cycle.
@@ -155,11 +163,6 @@ impl VirtualQueue {
         e
     }
 
-    /// Next firing time of `v`.
-    pub(crate) fn next_at(&self, v: &VirtualEvent) -> SimTime {
-        self.entry(v).at
-    }
-
     /// Ends `v`; returns its next `(time, seq)` key and the firings made.
     pub(crate) fn remove(&mut self, v: VirtualEvent) -> (SimTime, u64, u64) {
         let state = self.state(&v);
@@ -172,16 +175,33 @@ impl VirtualQueue {
 
     /// `v`'s next `(time, seq)` key and the firings it made.
     fn state(&self, v: &VirtualEvent) -> (SimTime, u64, u64) {
+        let (at, seq) = self.key(v);
+        (at, seq, self.fired(v))
+    }
+
+    /// `v`'s next `(time, seq)` key.
+    pub(crate) fn key(&self, v: &VirtualEvent) -> (SimTime, u64) {
+        self.entry(v).key()
+    }
+
+    /// The firings `v` made so far.
+    pub(crate) fn fired(&self, v: &VirtualEvent) -> u64 {
         let e = self.entry(v);
         let period = self.lanes[v.lane as usize].period_ns;
-        let fired = (e.at.as_nanos() - e.first.as_nanos()) / period;
-        (e.at, e.seq, fired)
+        (e.at.as_nanos() - e.first.as_nanos()) / period
     }
 
     /// Fires, in `(time, seq)` order, every firing keyed before `next`
     /// (the next real event). Each firing takes the next value of `seq`
     /// for its successor, exactly as a self-rescheduling real event would.
-    pub(crate) fn fire_before(&mut self, next: (SimTime, u64), seq: &mut u64) {
+    /// `fired` gets the slot of each event that fired, once per firing or
+    /// once per bulk of them.
+    pub(crate) fn fire_before(
+        &mut self,
+        next: (SimTime, u64),
+        seq: &mut u64,
+        fired: &mut impl FnMut(u32),
+    ) {
         loop {
             // The lane whose front fires first, and the first key anyone
             // else holds: the real event or another lane's front.
@@ -203,18 +223,25 @@ impl VirtualQueue {
                 }
             }
             match first {
-                Some((lane, key)) if key < next => self.fire_lane(lane, bound, seq),
+                Some((lane, key)) if key < next => self.fire_lane(lane, bound, seq, fired),
                 _ => return,
             }
         }
     }
 
     /// Fires `lane`'s fronts keyed before `bound`.
-    fn fire_lane(&mut self, lane: usize, bound: (SimTime, u64), seq: &mut u64) {
+    fn fire_lane(
+        &mut self,
+        lane: usize,
+        bound: (SimTime, u64),
+        seq: &mut u64,
+        fired: &mut impl FnMut(u32),
+    ) {
         let l = &mut self.lanes[lane];
         let period = l.period_ns;
         let entries = &mut self.entries;
         if l.len == 1 {
+            fired(l.front);
             // Successor keys get fresh (larger) seqs, so they precede a key
             // at a later instant only: fire every period that lands
             // strictly before the bound's instant.
@@ -232,6 +259,7 @@ impl VirtualQueue {
             if e.key() >= bound {
                 break;
             }
+            fired(front);
             e.at = SimTime::from_nanos(e.at.as_nanos() + period);
             e.seq = s;
             s += 1;
@@ -359,7 +387,7 @@ mod tests {
 
         fn fire_before(&mut self, next: (SimTime, u64)) {
             let mut seq = self.seq;
-            self.q.fire_before(next, &mut self.seq);
+            self.q.fire_before(next, &mut self.seq, &mut |_| {});
             loop {
                 let min = self
                     .live
@@ -419,7 +447,7 @@ mod tests {
         for end in (0..2_000).step_by(70) {
             p.fire_before((t(end), 0));
         }
-        assert_eq!(p.q.next_at(p.handle(mid)), t(2_140));
+        assert_eq!(p.q.key(p.handle(mid)).0, t(2_140));
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub struct Topology {
     nodes: usize,
     sockets_per_node: usize,
     cores_per_socket: usize,
+    /// Row `l` (of `cores_per_node - 1` entries): the other local indices
+    /// of a node, nearest to local core `l` first. The same on every node.
+    neighbours: Vec<usize>,
 }
 
 impl Topology {
@@ -86,10 +89,20 @@ impl Topology {
             nodes > 0 && sockets_per_node > 0 && cores_per_socket > 0,
             "topology dimensions must be positive"
         );
+        let per_node = sockets_per_node * cores_per_socket;
+        let socket = |l: usize| l / cores_per_socket;
+        let mut neighbours = Vec::with_capacity(per_node * (per_node - 1));
+        for origin in 0..per_node {
+            let start = neighbours.len();
+            neighbours.extend((0..per_node).filter(|&l| l != origin));
+            // Same socket first, then by index: the `(distance, id)` order.
+            neighbours[start..].sort_by_key(|&l| (socket(l) != socket(origin), l));
+        }
         Topology {
             nodes,
             sockets_per_node,
             cores_per_socket,
+            neighbours,
         }
     }
 
@@ -191,13 +204,16 @@ impl Topology {
     }
 
     /// Cores of `origin`'s node ordered by distance from `origin` (nearest
-    /// first), excluding `origin` itself. Used to pick where a tasklet
-    /// should run: prefer a core sharing the requester's cache.
-    pub fn neighbours_by_distance(&self, origin: CoreId) -> Vec<CoreId> {
-        let node = self.node_of(origin);
-        let mut cores: Vec<CoreId> = self.cores_of(node).filter(|&c| c != origin).collect();
-        cores.sort_by_key(|&c| (self.distance(origin, c), c.0));
-        cores
+    /// first, ties by id), excluding `origin` itself. Used to pick where a
+    /// tasklet should run: prefer a core sharing the requester's cache.
+    /// Reads an order computed once per topology; allocates nothing.
+    pub fn neighbours_by_distance(&self, origin: CoreId) -> impl Iterator<Item = CoreId> + '_ {
+        let per_node = self.cores_per_node();
+        let base = self.node_of(origin).0 * per_node;
+        let row = (origin.0 - base) * (per_node - 1);
+        self.neighbours[row..row + per_node - 1]
+            .iter()
+            .map(move |&l| CoreId(base + l))
     }
 }
 
@@ -250,7 +266,7 @@ mod tests {
     #[test]
     fn neighbours_sorted_nearest_first() {
         let t = Topology::paper_testbed();
-        let n = t.neighbours_by_distance(CoreId(1));
+        let n: Vec<CoreId> = t.neighbours_by_distance(CoreId(1)).collect();
         assert_eq!(n.len(), 7); // other cores of node 0 only
                                 // First neighbours share socket 0.
         assert_eq!(t.socket_of(n[0]).socket, 0);
@@ -258,6 +274,25 @@ mod tests {
         assert_eq!(t.socket_of(n[2]).socket, 0);
         assert_eq!(t.socket_of(n[3]).socket, 1);
         assert!(n.iter().all(|&c| t.node_of(c) == NodeId(0)));
+    }
+
+    #[test]
+    fn neighbour_order_is_distance_then_id_on_every_node() {
+        for t in [
+            Topology::paper_testbed(),
+            Topology::new(3, 2, 3),
+            Topology::new(4, 1, 2),
+            Topology::new(2, 3, 1),
+            Topology::single_node(1),
+        ] {
+            for origin in t.all_cores() {
+                let node = t.node_of(origin);
+                let mut want: Vec<CoreId> = t.cores_of(node).filter(|&c| c != origin).collect();
+                want.sort_by_key(|&c| (t.distance(origin, c), c.0));
+                let got: Vec<CoreId> = t.neighbours_by_distance(origin).collect();
+                assert_eq!(got, want, "{t:?} from {origin}");
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,8 @@ fn fig4_loop(seed: u64) -> (Outcome, u64, u64) {
 
 /// 16 ranks on a 1 %-loss fabric: ranks 1–15 stream two eager and two
 /// rendezvous messages, alternately to ranks 0 and 1, at seeded gaps;
-/// rank 1 receives late, so its traffic lands unexpected.
+/// rank 1 receives late, so its traffic lands unexpected. Returns the
+/// outcome and the executed events.
 fn lossy_incast(seed: u64) -> (Outcome, u64) {
     const SENDS: u64 = 4;
     let mut fabric = FabricParams::myri10g();
@@ -199,15 +200,16 @@ fn lossy_incast(seed: u64) -> (Outcome, u64) {
             }
         });
     }
-    let out = finish(&cluster).0;
+    let out = finish(&cluster);
     assert_eq!(received.get(), 15 * SENDS - SENDS / 2, "messages lost");
-    (out, received.get())
+    out
 }
 
 /// One step of the `coll_rma_step` shape on 8 ranks: a 64 KiB iallreduce
 /// overlapped with seeded compute, then a 16 KiB put and an 8 B accumulate to
-/// the right neighbour, a flush and a barrier.
-fn coll_rma_step(seed: u64) -> Outcome {
+/// the right neighbour, a flush and a barrier. Returns the outcome and the
+/// executed events.
+fn coll_rma_step(seed: u64) -> (Outcome, u64) {
     const WIN: u64 = 7;
     let cluster = observed(ClusterConfig {
         nodes: 8,
@@ -234,7 +236,7 @@ fn coll_rma_step(seed: u64) -> Outcome {
             comm.barrier(&ctx).await;
         });
     }
-    finish(&cluster).0
+    finish(&cluster)
 }
 
 /// Goldens captured with the polled idle loop, per `PM2_FAULT_SEED`.
@@ -277,7 +279,11 @@ const GOLDEN_42: [[u64; 6]; 3] = [
 #[test]
 fn parked_cores_reproduce_polled_goldens() {
     let seed = fault_seed();
-    let got = [fig4_loop(seed).0, lossy_incast(seed).0, coll_rma_step(seed)];
+    let got = [
+        fig4_loop(seed).0,
+        lossy_incast(seed).0,
+        coll_rma_step(seed).0,
+    ];
     let Some(want) = golden(seed) else {
         // No golden row for this seed: print one (`--nocapture`).
         println!("seed {seed}:");
@@ -315,6 +321,21 @@ fn fig4_loop_runs_under_100_events_per_message() {
     assert!(per_msg < 100.0, "{per_msg:.1} events per message");
     // The polls are still counted: ≫ one sweep per event executed.
     assert!(o.hook_sweeps > 5 * events, "{o:?} after {events} events");
+}
+
+/// One change wakes one parked core, not its whole node: waking them all
+/// ran 5 404 / 5 552 / 5 442 events at seeds 1 / 7 / 42.
+#[test]
+fn lossy_incast_runs_under_4800_events() {
+    let (_, events) = lossy_incast(fault_seed());
+    assert!(events < 4_800, "{events} events");
+}
+
+/// As above; waking every parked core ran 6 643 / 6 613 / 6 593 events.
+#[test]
+fn coll_rma_step_runs_under_5500_events() {
+    let (_, events) = coll_rma_step(fault_seed());
+    assert!(events < 5_500, "{events} events");
 }
 
 /// A parked core still leaves a wedged run wedged: a receive that never
