@@ -45,9 +45,11 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # (256-rank storm with balance + probe-linearity, 256-rank determinism),
 # idle (parked idle cores reproduce the polled goldens; events per message;
 # one parked core woken per change; no leaked tasks) and drop (a dropped
-# cluster frees every heap byte). The idle suite also runs in debug at
-# seeds 7 and 42 (`cargo test` above covered seed 1): debug builds run
-# the parking oracle, which panics where a change skipped its ring.
+# cluster frees every heap byte; heap bytes per rank stay flat from 1 024
+# to 8 192 ranks, and a ring run's peak stays within its per-rank bound).
+# The idle suite also runs in debug at seeds 7 and 42 (`cargo test` above
+# covered seed 1): debug builds run the parking oracle, which panics where
+# a change skipped its ring.
 for suite in faults stress coll sched rma scale idle drop; do
   for seed in 1 7 42; do
     PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-bench --test "$suite"

@@ -123,7 +123,10 @@ impl CollEngine {
             ranks: self.inner.ranks,
             chunk: self.inner.tuning.ring_chunk_bytes,
         };
-        let plan = algo.algorithm().plan(&spec, self.inner.rank);
+        let mut plan = algo.algorithm().plan(&spec, self.inner.rank);
+        // The plan lives as long as the collective runs: drop the slack
+        // its step vector grew by doubling.
+        plan.steps.shrink_to_fit();
         let space = self.inner.tags.alloc(kind.id());
         (plan, space)
     }

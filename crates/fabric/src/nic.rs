@@ -54,17 +54,13 @@ pub struct NicCounters {
     pub faults_stalled: u64,
 }
 
-/// Per-ordered-pair link bookkeeping for in-order delivery.
-#[derive(Default, Clone, Copy)]
-struct LinkState {
-    last_arrival: SimTime,
-}
-
 struct FabricState {
     /// Egress serialization point per source node.
     egress_free: Vec<SimTime>,
-    /// In-order delivery horizon per (src, dst).
-    links: Vec<LinkState>, // index = src * nodes + dst
+    /// In-order delivery horizon per source: `(dst, last arrival)` for
+    /// each link that has carried a frame, sorted by `dst`. A link with
+    /// no entry has delivered nothing, so it constrains no arrival.
+    links: Vec<Vec<(usize, SimTime)>>,
     /// Fabric-global transmission index (targets for `FaultPlan`).
     tx_count: u64,
 }
@@ -113,7 +109,7 @@ impl<P: 'static> Fabric<P> {
             params: params.clone(),
             state: RefCell::new(FabricState {
                 egress_free: vec![SimTime::ZERO; nodes],
-                links: vec![LinkState::default(); nodes * nodes],
+                links: vec![Vec::new(); nodes],
                 tx_count: 0,
             }),
             fault_rng: RefCell::new(Xoshiro256::new(params.fault.seed)),
@@ -182,10 +178,16 @@ impl<P: 'static> Fabric<P> {
             let start = st.egress_free[src.0].max(now);
             let end = start + tx_time;
             st.egress_free[src.0] = end;
-            let link = &mut st.links[src.0 * self.topo.nodes() + dst.0];
+            let links = &mut st.links[src.0];
+            let i = links
+                .binary_search_by_key(&dst.0, |&(d, _)| d)
+                .unwrap_or_else(|i| {
+                    links.insert(i, (dst.0, SimTime::ZERO));
+                    i
+                });
             // In-order delivery per (src, dst) even under jitter.
-            let arrival = (end + self.params.wire_latency).max(link.last_arrival);
-            link.last_arrival = arrival;
+            let arrival = (end + self.params.wire_latency).max(links[i].1);
+            links[i].1 = arrival;
             let idx = st.tx_count;
             st.tx_count += 1;
             (end, arrival, idx)
@@ -532,6 +534,71 @@ mod tests {
             got.push(f.payload);
         }
         assert_eq!(got, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fifo_per_link_under_jitter_across_many_destinations() {
+        // Every source talks to many destinations in a shuffled order, so
+        // links enter each source's table out of order.
+        const NODES: usize = 24;
+        let sim = Sim::new(5);
+        let topo = Rc::new(Topology::new(NODES, 1, 1));
+        let mut params = FabricParams::myri10g();
+        params.jitter_frac = 0.5;
+        let fabric: Rc<Fabric<(usize, u32)>> = Fabric::new(sim.clone(), topo, params);
+        let mut rng = Xoshiro256::new(9);
+        let mut sent = [[0u32; NODES]; NODES];
+        for _ in 0..3_000 {
+            let src = rng.gen_below(NODES as u64) as usize;
+            let dst = rng.gen_below(NODES as u64) as usize;
+            if src != dst {
+                fabric
+                    .nic(NodeId(src))
+                    .tx(NodeId(dst), 64, (src, sent[src][dst]));
+                sent[src][dst] += 1;
+            }
+        }
+        sim.run();
+        for dst in 0..NODES {
+            let mut next = [0u32; NODES];
+            let nic = fabric.nic(NodeId(dst));
+            while let Some(f) = nic.rx_poll() {
+                let (src, i) = f.payload;
+                assert_eq!(i, next[src], "link {src}->{dst} reordered");
+                next[src] += 1;
+            }
+            let want = sent.map(|row| row[dst]);
+            assert_eq!(next, want, "frames lost towards {dst}");
+        }
+        let st = fabric.state.borrow();
+        for (src, links) in st.links.iter().enumerate() {
+            let used: Vec<usize> = (0..NODES).filter(|&d| sent[src][d] > 0).collect();
+            let held: Vec<usize> = links.iter().map(|&(d, _)| d).collect();
+            assert_eq!(held, used, "source {src} holds links it never used");
+        }
+    }
+
+    #[test]
+    fn fabric_state_is_linear_in_nodes() {
+        // One source × destination entry per pair would be 512 MiB here.
+        const NODES: usize = 8192;
+        let sim = Sim::new(1);
+        let topo = Rc::new(Topology::new(NODES, 1, 1));
+        let fabric: Rc<Fabric<u32>> = Fabric::new(sim.clone(), topo, FabricParams::myri10g());
+        fabric.nic(NodeId(0)).tx(NodeId(NODES - 1), 64, 1);
+        fabric.nic(NodeId(NODES - 1)).tx(NodeId(0), 64, 2);
+        sim.run();
+        let st = fabric.state.borrow();
+        let bytes = st.egress_free.capacity() * size_of::<SimTime>()
+            + st.links.capacity() * size_of::<Vec<(usize, SimTime)>>()
+            + st.links
+                .iter()
+                .map(|l| l.capacity() * size_of::<(usize, SimTime)>())
+                .sum::<usize>();
+        assert!(
+            bytes <= 64 * NODES,
+            "fabric state {bytes} B for {NODES} nodes"
+        );
     }
 
     #[test]

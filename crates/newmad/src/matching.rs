@@ -101,14 +101,17 @@ impl std::hash::Hasher for FxHasher {
 type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Once a bucket map holds this many entries *and* outnumbers the live
-/// arena fourfold, emptied queues are swept. Below the floor they are
-/// kept so a ping-pong on one tag reuses its queue's capacity instead of
-/// re-allocating every round.
-const MAP_SWEEP_FLOOR: usize = 64;
+/// arena fourfold, emptied queues are swept and the table shrunk to what
+/// is left. Below the floor they are kept so a ping-pong on a few
+/// `(peer, tag)` keys reuses its queues' capacity instead of re-allocating
+/// every round; keys used once (a tag per round or per collective) are
+/// reclaimed after a handful.
+const MAP_SWEEP_FLOOR: usize = 8;
 
-fn sweep_if_bloated<K, V>(map: &mut FxMap<K, VecDeque<V>>, live: usize) {
+fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(map: &mut FxMap<K, VecDeque<V>>, live: usize) {
     if map.len() > MAP_SWEEP_FLOOR && map.len() > 4 * live {
         map.retain(|_, q| !q.is_empty());
+        map.shrink_to_fit();
     }
 }
 
@@ -642,6 +645,36 @@ mod tests {
             }
             assert_eq!(pool.len(), naive.entries.len());
         }
+    }
+
+    #[test]
+    fn one_shot_tags_leave_match_maps_small() {
+        // A tag per round, each used once: the emptied queues must not
+        // pile up in the maps, nor their table keep its largest size.
+        // What the table reaches just before a sweep empties it.
+        const MAX_SLOTS: usize = 2 * MAP_SWEEP_FLOOR;
+        let mut posted = PostedTable::new();
+        let mut arrived = ArrivalPool::new();
+        let (mut posted_max, mut arrived_max) = (0, 0);
+        for round in 0..1_000u64 {
+            let (src, tag) = (nid((round % 3) as usize), Tag(1000 + round));
+            posted.push(Some(src), tag, round);
+            assert_eq!(posted.take(src, tag).0, Some(round));
+            arrived.push(src, tag, round);
+            assert_eq!(arrived.take(Some(src), tag).0, Some(round));
+            posted_max = posted_max.max(posted.by_src.capacity());
+            arrived_max = arrived_max.max(arrived.by_src.capacity());
+        }
+        assert!(
+            posted_max <= MAX_SLOTS,
+            "posted by_src grew to {posted_max}"
+        );
+        assert!(
+            arrived_max <= MAX_SLOTS,
+            "arrived by_src grew to {arrived_max}"
+        );
+        assert!(posted.by_src.len() <= MAP_SWEEP_FLOOR);
+        assert!(arrived.by_src.len() <= MAP_SWEEP_FLOOR);
     }
 
     #[test]

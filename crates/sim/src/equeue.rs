@@ -9,7 +9,10 @@
 //! * `wheel` — [`WHEEL_BUCKETS`] fixed-width buckets ([`BUCKET_NS`] ns
 //!   each) covering the window `(cur_bucket, cur_bucket + WHEEL_BUCKETS)`.
 //!   Inserts into the window are an O(1) push; a 256-bit occupancy bitmap
-//!   finds the next non-empty bucket in a handful of word scans.
+//!   finds the next non-empty bucket in a handful of word scans. When the
+//!   window reaches a bucket, its buffer is heapified whole into `near`,
+//!   so an empty bucket holds no capacity; `near`'s old buffer goes onto
+//!   a short spare list that the next bucket to fill takes from.
 //! * `far` — an overflow heap for everything past the wheel horizon
 //!   (~524 µs at the default width). When both `near` and the wheel are
 //!   empty the window jumps to the far minimum and re-splits.
@@ -23,10 +26,11 @@
 //! Event payloads live in a [`Slab`] of [`EventSlot`]s that recycles
 //! indices, with closures stored inline (up to [`ACTION_WORDS`] words)
 //! so the steady-state schedule → fire → complete hot path performs no
-//! heap allocation. Cancellation removes the slot (dropping the closure
-//! and its captures eagerly) and leaves a 24-byte tombstone key that is
-//! skipped lazily on pop and purged in bulk once tombstones outnumber
-//! live events — queue occupancy stays O(live).
+//! heap allocation (bucket buffers circulate through the spare list).
+//! Cancellation removes the slot (dropping the closure and its captures
+//! eagerly) and leaves a 24-byte tombstone key that is skipped lazily on
+//! pop and purged in bulk once tombstones outnumber live events — queue
+//! occupancy stays O(live).
 
 use crate::sim::Sim;
 use crate::slab::Slab;
@@ -58,6 +62,15 @@ const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
 /// Bulk-purge tombstones only past this floor, so tiny queues never pay
 /// the rebuild.
 const PURGE_FLOOR: usize = 64;
+
+/// Emptied bucket buffers kept for reuse. Each step of the window hands
+/// one back, so a steady schedule runs on a few of them.
+const SPARE_BUFFERS: usize = 8;
+
+/// A spare may keep capacity for this many keys, or for twice the queue's
+/// resident keys if more: a burst's buffer is freed once the queue has
+/// drained, instead of pinning the burst's size.
+const SPARE_MIN_KEYS: usize = 64;
 
 fn bucket_of(at: SimTime) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
@@ -177,9 +190,11 @@ pub(crate) struct EventQueue {
     /// recycled slot never validate.
     gens: Vec<u32>,
     near: BinaryHeap<Reverse<EventKey>>,
-    wheel: Vec<Vec<EventKey>>,
+    wheel: Vec<Vec<Reverse<EventKey>>>,
     occupied: [u64; WHEEL_WORDS],
     far: BinaryHeap<Reverse<EventKey>>,
+    /// Empty buffers for the next buckets to fill.
+    spare: Vec<Vec<Reverse<EventKey>>>,
     /// All `near` keys have bucket ≤ `cur_bucket`; wheel keys fall in
     /// `(cur_bucket, cur_bucket + WHEEL_BUCKETS)`; `far` keys beyond.
     cur_bucket: u64,
@@ -196,6 +211,7 @@ impl EventQueue {
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; WHEEL_WORDS],
             far: BinaryHeap::new(),
+            spare: Vec::new(),
             cur_bucket: 0,
             live: 0,
             dead_keys: 0,
@@ -223,7 +239,13 @@ impl EventQueue {
             self.near.push(Reverse(key));
         } else if b < self.cur_bucket + WHEEL_BUCKETS as u64 {
             let idx = (b as usize) % WHEEL_BUCKETS;
-            self.wheel[idx].push(key);
+            let bucket = &mut self.wheel[idx];
+            if bucket.capacity() == 0 {
+                if let Some(buf) = self.spare.pop() {
+                    *bucket = buf;
+                }
+            }
+            bucket.push(Reverse(key));
             self.occupied[idx / 64] |= 1 << (idx % 64);
         } else {
             self.far.push(Reverse(key));
@@ -349,10 +371,11 @@ impl EventQueue {
                 self.cur_bucket = b;
                 let idx = (b as usize) % WHEEL_BUCKETS;
                 self.occupied[idx / 64] &= !(1 << (idx % 64));
-                let EventQueue { near, wheel, .. } = self;
-                for k in wheel[idx].drain(..) {
-                    near.push(Reverse(k));
-                }
+                // Keys are unique, so the heap pops them in the same order
+                // however it was built.
+                let bucket = BinaryHeap::from(std::mem::take(&mut self.wheel[idx]));
+                let old = std::mem::replace(&mut self.near, bucket);
+                self.recycle(old.into_vec());
                 continue;
             }
             // 3. Wheel empty too: jump the window to the far minimum
@@ -397,23 +420,36 @@ impl EventQueue {
         self.cur_bucket + 1 + delta
     }
 
+    /// Keeps an emptied bucket buffer for the next bucket to fill, unless
+    /// the spare list is full or the buffer is large for the queue's
+    /// current size.
+    fn recycle(&mut self, buf: Vec<Reverse<EventKey>>) {
+        debug_assert!(buf.is_empty(), "recycled a buffer still holding keys");
+        let fits = buf.capacity() <= SPARE_MIN_KEYS.max(2 * self.key_count());
+        if buf.capacity() > 0 && fits && self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(buf);
+        }
+    }
+
     /// Drops every tombstone key from all tiers; O(resident keys),
     /// amortized O(1) per cancellation by the `dead > live` trigger.
     fn purge(&mut self) {
         let gens = &self.gens;
-        let live = |k: &EventKey| gens.get(k.slot as usize).copied() == Some(k.gen);
+        let live = |Reverse(k): &Reverse<EventKey>| gens.get(k.slot as usize) == Some(&k.gen);
         let mut v = std::mem::take(&mut self.near).into_vec();
-        v.retain(|Reverse(k)| live(k));
+        v.retain(live);
         self.near = BinaryHeap::from(v);
         self.occupied = [0; WHEEL_WORDS];
         for (idx, bucket) in self.wheel.iter_mut().enumerate() {
-            bucket.retain(&live);
-            if !bucket.is_empty() {
+            bucket.retain(live);
+            if bucket.is_empty() {
+                *bucket = Vec::new();
+            } else {
                 self.occupied[idx / 64] |= 1 << (idx % 64);
             }
         }
         let mut fv = std::mem::take(&mut self.far).into_vec();
-        fv.retain(|Reverse(k)| live(k));
+        fv.retain(live);
         self.far = BinaryHeap::from(fv);
         self.dead_keys = 0;
     }
@@ -577,6 +613,86 @@ mod tests {
             );
         }
         assert_eq!(q.live_len(), 16);
+    }
+
+    /// Keys' worth of buffer capacity held by `near`, the wheel and the
+    /// spare list.
+    fn retained_keys(q: &EventQueue) -> usize {
+        let held = |bufs: &[Vec<Reverse<EventKey>>]| bufs.iter().map(Vec::capacity).sum::<usize>();
+        q.near.capacity() + held(&q.wheel) + held(&q.spare)
+    }
+
+    /// Addresses of every buffer `q` holds.
+    fn buffers(q: &EventQueue) -> Vec<*const Reverse<EventKey>> {
+        let held = q.wheel.iter().chain(&q.spare).filter(|b| b.capacity() > 0);
+        let mut out: Vec<_> = held.map(|b| b.as_ptr()).collect();
+        out.push(q.near.as_slice().as_ptr());
+        out
+    }
+
+    fn empty_buckets_hold_nothing(q: &EventQueue) -> bool {
+        q.wheel.iter().all(|b| !b.is_empty() || b.capacity() == 0)
+    }
+
+    #[test]
+    fn burst_capacity_is_released_once_drained() {
+        let mut q = EventQueue::new();
+        // 10 000 keys in one bucket, then drained.
+        let burst = BUCKET_NS * 5;
+        for seq in 0..10_000u64 {
+            q.insert(t(burst + seq % BUCKET_NS), seq, noop());
+        }
+        while q.pop_first().is_some() {}
+        // A light load afterwards moves the window past the burst.
+        let mut seq = 10_000;
+        for i in 0..4 {
+            q.insert(t(burst + BUCKET_NS + i * 500), seq, noop());
+            seq += 1;
+        }
+        for _ in 0..200 {
+            let (at, _) = q.pop_first().unwrap();
+            q.insert(t(at.as_nanos() + 2_000), seq, noop());
+            seq += 1;
+        }
+        assert!(empty_buckets_hold_nothing(&q));
+        let bound = (SPARE_BUFFERS + 1 + q.key_count()) * SPARE_MIN_KEYS;
+        let held = retained_keys(&q);
+        assert!(
+            held <= bound,
+            "{held} keys of capacity held for {} live",
+            q.live_len()
+        );
+    }
+
+    #[test]
+    fn periodic_schedule_recycles_bucket_buffers() {
+        // 16 events, each re-armed one period after it fires: a run
+        // loop's steady state. Once warm, every bucket the window reaches
+        // must fill a buffer an earlier bucket handed back.
+        const LIVE: u64 = 16;
+        const PERIOD: u64 = 5_000;
+        let mut q = EventQueue::new();
+        for i in 0..LIVE {
+            q.insert(t(i * PERIOD / LIVE), i, noop());
+        }
+        let mut seq = LIVE;
+        let mut step = |q: &mut EventQueue| {
+            let (at, _) = q.pop_first().unwrap();
+            q.insert(t(at.as_nanos() + PERIOD), seq, noop());
+            seq += 1;
+        };
+        for _ in 0..2_000 {
+            step(&mut q);
+        }
+        let warm = buffers(&q);
+        for i in 0..20_000 {
+            step(&mut q);
+            assert!(
+                buffers(&q).iter().all(|b| warm.contains(b)),
+                "step {i} allocated a bucket buffer"
+            );
+            assert!(empty_buckets_hold_nothing(&q), "step {i}");
+        }
     }
 
     #[test]

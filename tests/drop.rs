@@ -7,8 +7,12 @@
 //! cluster is dropped, the count must be back at that mark exactly. A
 //! blocked PIOMAN watcher that held the sim strongly, or one leaked task
 //! per re-arm, would leave the whole simulation behind.
+//!
+//! The same allocator keeps a peak cell for a heap census: a rank must
+//! cost the same bytes whether the cluster has 1 024 or 8 192 of them,
+//! and a ring run must not hold on to what its phases used.
 
-use pm2_mpi::{Cluster, ClusterConfig};
+use pm2_mpi::{Cluster, ClusterConfig, Comm};
 use pm2_newmad::{EngineKind, Tag};
 use pm2_sim::rng::Xoshiro256;
 use pm2_sim::{SimDuration, SimTime};
@@ -23,10 +27,15 @@ struct Counting;
 // the allocator can neither allocate nor fail.
 thread_local! {
     static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
 fn grew(bytes: usize) {
-    LIVE.set(LIVE.get().wrapping_add(bytes));
+    let live = LIVE.get().wrapping_add(bytes);
+    LIVE.set(live);
+    if live > PEAK.get() {
+        PEAK.set(live);
+    }
 }
 
 fn shrank(bytes: usize) {
@@ -79,6 +88,15 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Most heap bytes live at one moment while `f` ran, above the live
+/// bytes when it started; `f`'s result is dropped before returning.
+fn peak_of<T>(f: impl FnOnce() -> T) -> usize {
+    let mark = LIVE.get();
+    PEAK.set(mark);
+    drop(f());
+    PEAK.get() - mark
+}
 
 /// The paper's fig. 4 program on 2 nodes × 8 cores: 4 thread pairs each
 /// looping `isend → compute(20 µs) → swait → irecv → compute → swait`
@@ -145,4 +163,79 @@ fn dropped_cluster_frees_every_byte() {
         leaks.is_empty(),
         "(seed, bytes) still live after drop: {leaks:?}"
     );
+}
+
+/// The simulation seed of the census runs (`ci.sh` runs 1, 7 and 42).
+fn fault_seed() -> u64 {
+    std::env::var("PM2_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1)
+}
+
+/// The ring workload's cluster: `ranks` nodes of one socket × 2 cores
+/// (one app thread plus one core for stolen progression), with the
+/// fabric jitter that makes per-seed latencies differ.
+fn ring_config(ranks: usize, seed: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper_testbed(EngineKind::Pioman);
+    cfg.seed = seed;
+    cfg.nodes = ranks;
+    cfg.sockets_per_node = 1;
+    cfg.cores_per_socket = 2;
+    cfg.fabric.jitter_frac = 0.25;
+    cfg
+}
+
+#[test]
+fn cluster_heap_is_linear_in_ranks() {
+    // A per-pair table (one entry per source × destination) would cost a
+    // rank 8 B per peer: 64 KiB at 8 192 ranks.
+    let seed = fault_seed();
+    drop(Cluster::build(ring_config(16, seed)));
+    let per_rank = |ranks: usize| peak_of(|| Cluster::build(ring_config(ranks, seed))) / ranks;
+    let (small, large) = (per_rank(1024), per_rank(8192));
+    assert!(
+        large * 10 <= small * 11,
+        "{large} B/rank at 8 192 ranks vs {small} at 1 024: not linear in ranks"
+    );
+    assert!(large <= 8 << 10, "{large} B/rank at 8 192 ranks");
+}
+
+/// The ring workload at `ranks`: a barrier, `rounds` exchanges of 64 B
+/// with both neighbours (send right, receive left, one tag per round),
+/// a barrier; run to quiescence.
+fn ring_run(ranks: usize, rounds: u64, seed: u64) -> Cluster {
+    let cluster = Cluster::build(ring_config(ranks, seed));
+    for (rank, comm) in Comm::world(&cluster).into_iter().enumerate() {
+        cluster.spawn_on(rank, format!("rank{rank}"), move |ctx| async move {
+            let s = comm.session().clone();
+            let (right, left) = ((rank + 1) % ranks, (rank + ranks - 1) % ranks);
+            comm.barrier(&ctx).await;
+            for round in 0..rounds {
+                let tag = Tag(1000 + round);
+                let h = s
+                    .isend(&ctx, NodeId(right), tag, vec![round as u8; 64])
+                    .await;
+                let r = s.irecv(&ctx, Some(NodeId(left)), tag).await;
+                assert_eq!(s.swait_recv(&r, &ctx).await, vec![round as u8; 64]);
+                s.swait_send(&h, &ctx).await;
+            }
+            comm.barrier(&ctx).await;
+        });
+    }
+    cluster.run_deadline(SimTime::from_secs(60));
+    assert_eq!(cluster.sim().live_tasks(), 0, "ring did not finish");
+    cluster
+}
+
+#[test]
+fn ring_peak_heap_per_rank_is_bounded() {
+    // Buffers a finished phase grew (a barrier's burst of events, a round's
+    // match queues, a plan's doubling slack) must not stay held: with
+    // them the peak is ~50 KB per rank here.
+    const RANKS: usize = 256;
+    let seed = fault_seed();
+    drop(ring_run(16, 2, seed));
+    let per_rank = peak_of(|| ring_run(RANKS, 60, seed)) / RANKS;
+    assert!(per_rank <= 32 << 10, "ring peak {per_rank} B/rank");
 }
