@@ -69,13 +69,16 @@ cargo build --release --offline --locked --quiet \
 benchmark/check.sh --smoke
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-echo "== zero-fault baseline guard (byte-identical figures)"
-# Doubles as the obs-disabled guard: pm2-obs is off by default, so any
-# observability cost leaking into the disabled path shows up here as a
-# baseline deviation.
-for b in fig5 fig6 table1 bandwidth; do
-  ./target/release/$b | diff -u "tests/baselines/$b.txt" - \
-    || { echo "$b deviates from tests/baselines/$b.txt"; exit 1; }
+echo "== zero-fault baseline guard (byte-identical claims)"
+# Every row of the claims table (crates/bench/src/claims.rs) must print
+# its baseline byte for byte; `claims` also exits nonzero if the row's
+# shape does not hold. Doubles as the obs-disabled guard: pm2-obs is off
+# by default, so any observability cost leaking into the disabled path
+# shows up here as a baseline deviation.
+for id in fig5 fig6 table1 bandwidth abl_lock abl_blocking abl_aggreg \
+          abl_adaptive abl_timer abl_numa abl_threshold; do
+  ./target/release/claims $id | diff -u "tests/baselines/$id.txt" - \
+    || { echo "$id deviates from tests/baselines/$id.txt"; exit 1; }
 done
 
 echo "== obs timeline dump (pm2-obs-dump/v1 schema) and trace example"

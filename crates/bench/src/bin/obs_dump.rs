@@ -9,7 +9,7 @@
 //! RTS → CTS → DMA → complete on the rendezvous path) and prints one JSON
 //! document combining the timelines with the unified metrics snapshot.
 //!
-//! Unlike the baseline-checked reproduction binaries this output carries
+//! Unlike the baseline-checked claims rows this output carries
 //! virtual timestamps, so CI validates it against the
 //! `pm2-obs-dump/v1` schema rather than a golden file.
 

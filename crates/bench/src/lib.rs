@@ -1,48 +1,33 @@
-//! Shared infrastructure for the reproduction binaries.
+//! The reproduction of the paper's figures, tables and ablations.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` §4 for the experiment index):
-//!
-//! * `fig5` — small-message offloading (§4.1, Figure 5)
-//! * `fig6` — rendezvous handshake progression (§4.2, Figure 6)
-//! * `table1` — convolution meta-application (§4.3, Table 1)
-//! * `abl_lock` — per-event spinlocks vs. library-wide mutex (§2.1)
-//! * `abl_blocking` — idle-core polling vs. blocking syscalls (§2.3/\[10\])
-//! * `abl_aggreg` — strategy layer: FIFO vs. aggregation (§3.1)
-//! * `abl_adaptive` — offload-or-not policy (§5 future work)
-//! * `abl_timer` — timer-tick cycle stealing when no core is idle (§3.1)
-//! * `abl_numa` — progress tasklet on a near vs. a remote socket (§2.3)
-//! * `abl_threshold` — where the rendezvous threshold sits (§2.3)
+//! [`claims::CLAIMS`] is one table of rows, one per paper claim (see
+//! `DESIGN.md` §4 for the experiment index); `claims <id>` prints a row
+//! and `tests/claims.rs` asserts each row's shape. [`collbench`] times
+//! collective algorithms for `tests/coll.rs`.
 //!
 //! Host-side cost of the simulator is the benchmark's job (`benchmark/`).
 
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod collbench;
 
 use pm2_sim::SimDuration;
 
 /// Pretty-prints one table row: label + f64 columns.
-pub fn row(label: &str, cols: &[f64]) -> String {
-    let mut s = format!("{label:>12} |");
-    for c in cols {
-        s.push_str(&format!(" {c:>10.2}"));
-    }
-    s
+pub(crate) fn row(label: &str, cols: &[f64]) -> String {
+    (cols.iter()).fold(format!("{label:>12} |"), |s, c| s + &format!(" {c:>10.2}"))
 }
 
 /// Pretty-prints a header row.
-pub fn header(label: &str, cols: &[String]) -> String {
-    let mut s = format!("{label:>12} |");
-    for c in cols {
-        s.push_str(&format!(" {c:>10}"));
-    }
+pub(crate) fn header(label: &str, cols: &[&str]) -> String {
+    let s = (cols.iter()).fold(format!("{label:>12} |"), |s, c| s + &format!(" {c:>10}"));
     let line = "-".repeat(s.len());
     format!("{s}\n{line}")
 }
 
 /// Formats a byte count like the paper's x-axes (1K, 32K, 512K).
-pub fn fmt_size(bytes: usize) -> String {
+pub(crate) fn fmt_size(bytes: usize) -> String {
     if bytes >= 1 << 20 {
         format!("{}M", bytes >> 20)
     } else if bytes >= 1 << 10 {
@@ -53,24 +38,20 @@ pub fn fmt_size(bytes: usize) -> String {
 }
 
 /// Message sizes of Figure 5 (1K–32K, eager path).
-pub fn fig5_sizes() -> Vec<usize> {
+pub(crate) fn fig5_sizes() -> Vec<usize> {
     (0..6).map(|i| 1 << (10 + i)).collect()
 }
 
 /// Message sizes of Figure 6 (8K–512K, crossing the rendezvous threshold).
-pub fn fig6_sizes() -> Vec<usize> {
+pub(crate) fn fig6_sizes() -> Vec<usize> {
     (0..7).map(|i| 8 << (10 + i)).collect()
 }
 
 /// Computation time of the Figure 5 benchmark.
-pub fn fig5_compute() -> SimDuration {
-    SimDuration::from_micros(20)
-}
+pub(crate) const FIG5_COMPUTE: SimDuration = SimDuration::from_micros(20);
 
 /// Computation time of the Figure 6 benchmark.
-pub fn fig6_compute() -> SimDuration {
-    SimDuration::from_micros(100)
-}
+pub(crate) const FIG6_COMPUTE: SimDuration = SimDuration::from_micros(100);
 
 #[cfg(test)]
 mod tests {
@@ -92,7 +73,7 @@ mod tests {
 
     #[test]
     fn rows_align() {
-        let h = header("size", &["a".into(), "b".into()]);
+        let h = header("size", &["a", "b"]);
         let r = row("1K", &[1.0, 2.0]);
         assert!(h.lines().next().unwrap().len() == r.len());
     }

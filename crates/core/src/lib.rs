@@ -26,7 +26,8 @@
 //! The §2.1 thread-safety argument is modelled by [`LockModel`]: per-event
 //! spinlocks allow concurrent progress on different cores (each paying a
 //! tiny lock cost), while a library-wide mutex serializes all progress
-//! system-wide — the `abl_lock` benchmark quantifies the difference.
+//! system-wide — the `abl_lock` row of `pm2-bench`'s claims table
+//! (`claims abl_lock`) quantifies the difference.
 //!
 //! # The driver registry
 //!

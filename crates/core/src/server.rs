@@ -1089,9 +1089,9 @@ impl IdleHook for IdleProgress {
     /// Every driver's pending state, in registry order, folded with
     /// FNV-1a: what a poll reads before it touches any driver, the same
     /// on every core.
-    fn view(&self) -> Option<u64> {
+    fn view(&self) -> u64 {
         let Some(inner) = self.inner.upgrade() else {
-            return Some(0);
+            return 0;
         };
         let drivers = inner.drivers.borrow();
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
@@ -1102,7 +1102,7 @@ impl IdleHook for IdleProgress {
                 h = (h ^ word).wrapping_mul(0x100_0000_01b3);
             }
         }
-        Some(h)
+        h
     }
 
     /// Replays the counters of `sweeps` repeats of the last parking poll.

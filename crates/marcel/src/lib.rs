@@ -15,8 +15,8 @@
 //!   finding work parks until [`Marcel::doorbell`] or
 //!   [`Marcel::wake_parked`] reports a change; its polling is computed,
 //!   not simulated ([`HookResult::Idle`]). A change wakes one parked core
-//!   of the node, whose sweep speaks for the others when every hook
-//!   answers [`IdleHook::view`].
+//!   of the node, whose sweep speaks for the others: every hook's
+//!   [`IdleHook::view`] fingerprints what its poll reads, on any core.
 //! * **Triggers** — periodic timers and explicit kicks, the other two
 //!   occasions on which Marcel schedules PIOMAN ("CPU idleness, context
 //!   switches, timer interrupts").

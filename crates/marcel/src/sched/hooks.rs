@@ -38,9 +38,7 @@ pub enum HookResult {
     },
 }
 
-/// A polling site run by idle cores. Closures
-/// `Fn(&Marcel, CoreId) -> HookResult` implement it with a no-op
-/// [`IdleHook::skipped`] and no [`IdleHook::view`].
+/// A polling site run by idle cores.
 pub trait IdleHook {
     /// Polls once on `core`.
     fn poll(&self, marcel: &Marcel, core: CoreId) -> HookResult;
@@ -54,26 +52,13 @@ pub trait IdleHook {
     /// A fingerprint of everything a poll reads, which must not depend on
     /// the polling core: two equal views mean two polls behave alike.
     ///
-    /// `Some` on every hook of a node lets it wake one parked core per
-    /// change (see [`Marcel::wake_parked`]): a pure sweep on any core then
-    /// proves every parked core's next sweep pure. `None` — the poll reads
-    /// core-dependent or unobservable state — keeps the node waking every
-    /// parked core on every change. A hook answers `None` always or never;
-    /// the choice is read when it registers. Debug builds check, after
-    /// each step in which a parked core's computed sweeps fired, that the
-    /// views are those the node's last cleaning sweep read, so a change
-    /// that forgets to ring panics before a skipped sweep could matter.
-    fn view(&self) -> Option<u64>;
-}
-
-impl<F: Fn(&Marcel, CoreId) -> HookResult> IdleHook for F {
-    fn poll(&self, marcel: &Marcel, core: CoreId) -> HookResult {
-        self(marcel, core)
-    }
-
-    fn view(&self) -> Option<u64> {
-        None
-    }
+    /// This is what lets a node wake one parked core per change (see
+    /// [`Marcel::wake_parked`]): a pure sweep on any core proves every
+    /// parked core's next sweep pure. Debug builds check, after each step
+    /// in which a parked core's computed sweeps fired, that the views are
+    /// those the node's last cleaning sweep read, so a change that forgets
+    /// to ring panics before a skipped sweep could matter.
+    fn view(&self) -> u64;
 }
 
 /// What one sweep over every hook found.
@@ -94,29 +79,23 @@ pub(crate) type Hooks = Rc<[Rc<dyn IdleHook>]>;
 impl Marcel {
     /// Registers an idle hook, called whenever a core runs out of work.
     pub fn register_idle_hook(&self, hook: impl IdleHook + 'static) {
-        let viewed = hook.view().is_some();
         let mut st = self.inner.state.borrow_mut();
         let mut hooks: Vec<Rc<dyn IdleHook>> = st.hooks.iter().cloned().collect();
         hooks.push(Rc::new(hook));
         st.hooks = hooks.into();
-        st.bell.one_wake &= viewed;
         drop(st);
         self.wake_parked();
     }
 
     /// The parking oracle, run in debug builds after each step in which
-    /// parked cores of this node made computed sweeps. On a node that
-    /// wakes one core per change they may only fire while it is clean —
-    /// a dirty node keeps an observer pending ahead of every parked core,
-    /// so none fires — and while its hooks still show the views its
-    /// cleaning sweep read. Either failing means a parked core skipped a
-    /// sweep that would have read a change.
+    /// parked cores of this node made computed sweeps. They may only fire
+    /// while the node is clean — a dirty node keeps an observer pending
+    /// ahead of every parked core, so none fires — and while its hooks
+    /// still show the views its cleaning sweep read. Either failing means
+    /// a parked core skipped a sweep that would have read a change.
     #[cfg(debug_assertions)]
     pub(crate) fn parking_oracle(&self) {
         let st = self.inner.state.borrow();
-        if !st.bell.one_wake {
-            return;
-        }
         let (node, now) = (self.node().0, self.inner.sim.now().as_nanos());
         assert!(
             !st.bell.dirty,

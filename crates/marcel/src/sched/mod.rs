@@ -82,11 +82,6 @@ pub(crate) struct Parked {
 /// How a change to what idle sweeps read reaches the parked cores
 /// (DESIGN.md §10).
 pub(crate) struct Bell {
-    /// Every hook answers [`IdleHook::view`]: no poll reads anything
-    /// core-dependent, so one pure sweep after a change speaks for every
-    /// parked core and a change wakes only the first of them. Otherwise
-    /// each change wakes every parked core.
-    pub(crate) one_wake: bool,
     /// A change rang and no pure sweep has observed it yet.
     pub(crate) dirty: bool,
     /// While dirty: the core whose pending run sweeps ahead of every
@@ -95,7 +90,7 @@ pub(crate) struct Bell {
     pub(crate) observer: Option<(usize, (SimTime, u64))>,
     /// The hooks' views at the pure sweep that last cleaned the node.
     #[cfg(debug_assertions)]
-    pub(crate) views: Vec<Option<u64>>,
+    pub(crate) views: Vec<u64>,
     /// The check parked sweeps run as they fire
     /// ([`Sim::add_virtual_check`]).
     #[cfg(debug_assertions)]
@@ -212,7 +207,6 @@ impl Marcel {
                     hooks: Rc::new([]),
                     // No sweep has observed anything yet.
                     bell: Bell {
-                        one_wake: true,
                         dirty: true,
                         observer: None,
                         #[cfg(debug_assertions)]
@@ -302,23 +296,13 @@ impl Marcel {
     /// left alone; callers that also want them nudged ring
     /// [`Marcel::doorbell`].
     ///
-    /// A node whose hooks do not all answer [`IdleHook::view`] wakes every
-    /// parked core at every ring instead.
-    ///
     /// Costs nothing in virtual time: a sweep it turns real was in the
     /// polled schedule anyway, at the same `(time, seq)` slot.
     pub fn wake_parked(&self) {
-        let (one, dirty, observer) = {
+        let (dirty, observer) = {
             let st = self.inner.state.borrow();
-            (st.bell.one_wake, st.bell.dirty, st.bell.observer.is_some())
+            (st.bell.dirty, st.bell.observer.is_some())
         };
-        if !one {
-            let n = self.inner.state.borrow().cores.len();
-            for local in 0..n {
-                self.unpark_core(local);
-            }
-            return;
-        }
         if !dirty {
             // The sweeps made so far read the state this change ends.
             self.credit_parked();
@@ -334,23 +318,30 @@ impl Marcel {
     /// exact. [`Marcel::stats`] calls it; a library reading its own
     /// counters fed by the hooks calls it first.
     pub fn credit_parked(&self) {
-        let (swept, hooks) = {
+        let mut swept = 0;
+        for c in &mut self.inner.state.borrow_mut().cores {
+            if let Some(p) = &mut c.parked {
+                let fired = self.inner.sim.virtual_fired(&p.sweeps);
+                swept += fired - p.credited;
+                p.credited = fired;
+            }
+        }
+        self.credit_sweeps(swept);
+    }
+
+    /// Counts `swept` computed sweeps as run, here and in every hook
+    /// ([`IdleHook::skipped`]).
+    fn credit_sweeps(&self, swept: u64) {
+        if swept == 0 {
+            return;
+        }
+        let hooks = {
             let mut st = self.inner.state.borrow_mut();
-            let mut swept = 0;
-            for c in &mut st.cores {
-                if let Some(p) = &mut c.parked {
-                    let fired = self.inner.sim.virtual_fired(&p.sweeps);
-                    swept += fired - p.credited;
-                    p.credited = fired;
-                }
-            }
             st.stats.hook_sweeps += swept;
-            (swept, Rc::clone(&st.hooks))
+            Rc::clone(&st.hooks)
         };
-        if swept > 0 {
-            for hook in hooks.iter() {
-                hook.skipped(swept);
-            }
+        for hook in hooks.iter() {
+            hook.skipped(swept);
         }
     }
 
@@ -395,22 +386,14 @@ impl Marcel {
             .inner
             .sim
             .materialize(p.sweeps, self.run_event(local, core));
-        let swept = fired - p.credited;
-        let hooks = {
-            let mut st = self.inner.state.borrow_mut();
-            st.stats.hook_sweeps += swept;
-            let c = &mut st.cores[local];
+        {
+            let c = &mut self.inner.state.borrow_mut().cores[local];
             if !p.cost.is_zero() {
                 c.busy_until = at;
             }
             c.scheduled_run = Some((at, handle));
-            Rc::clone(&st.hooks)
-        };
-        if swept > 0 {
-            for hook in hooks.iter() {
-                hook.skipped(swept);
-            }
         }
+        self.credit_sweeps(fired - p.credited);
     }
 
     /// Kicks the idle core nearest to `origin`, or any idle core.
@@ -499,7 +482,7 @@ impl Marcel {
     /// if it parked ahead of the pending observer.
     fn after_run(&self, local: usize, parked: bool) {
         let mut st = self.inner.state.borrow_mut();
-        if !st.bell.one_wake || !st.bell.dirty {
+        if !st.bell.dirty {
             return;
         }
         if parked && st.runq.len() == 0 && !st.tasklet_ready() {

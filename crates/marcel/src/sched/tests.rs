@@ -1,6 +1,20 @@
 use super::*;
 use std::cell::Cell;
 
+/// A test hook: `.0` polls, `.1` fingerprints what the poll reads (never
+/// the polling core).
+struct Hook<P, V>(P, V);
+
+impl<P: Fn(&Marcel, CoreId) -> HookResult, V: Fn() -> u64> IdleHook for Hook<P, V> {
+    fn poll(&self, m: &Marcel, core: CoreId) -> HookResult {
+        (self.0)(m, core)
+    }
+
+    fn view(&self) -> u64 {
+        (self.1)()
+    }
+}
+
 fn setup(cores: usize) -> (Sim, Marcel) {
     let sim = Sim::new(1);
     let topo = Rc::new(Topology::single_node(cores));
@@ -238,8 +252,8 @@ fn tasklet_reschedule_from_body_runs_again() {
 fn idle_hook_runs_when_core_idle() {
     let (sim, m) = setup(1);
     let polls = Rc::new(Cell::new(0u32));
-    let polls2 = Rc::clone(&polls);
-    m.register_idle_hook(move |_: &Marcel, _: CoreId| {
+    let (polls2, polls3) = (Rc::clone(&polls), Rc::clone(&polls));
+    let poll = move |_: &Marcel, _: CoreId| {
         let c = polls2.get();
         if c < 5 {
             polls2.set(c + 1);
@@ -247,7 +261,8 @@ fn idle_hook_runs_when_core_idle() {
         } else {
             HookResult::Nothing
         }
-    });
+    };
+    m.register_idle_hook(Hook(poll, move || polls3.get() as u64));
     m.spawn("t", Priority::Normal, None, |ctx| async move {
         ctx.compute(SimDuration::from_micros(2)).await;
     });
@@ -261,16 +276,17 @@ fn armed_hook_keeps_polling_until_disarmed() {
     let armed = Rc::new(Cell::new(true));
     let polls = Rc::new(Cell::new(0u32));
     {
-        let armed = Rc::clone(&armed);
+        let (armed, armed2) = (Rc::clone(&armed), Rc::clone(&armed));
         let polls = Rc::clone(&polls);
-        m.register_idle_hook(move |_: &Marcel, _: CoreId| {
+        let poll = move |_: &Marcel, _: CoreId| {
             if armed.get() {
                 polls.set(polls.get() + 1);
                 HookResult::Idle(SimDuration::ZERO)
             } else {
                 HookResult::Nothing
             }
-        });
+        };
+        m.register_idle_hook(Hook(poll, move || armed2.get() as u64));
     }
     // A thread must exist once so the core wakes up at least once.
     m.spawn("t", Priority::Normal, None, |_ctx| async move {});
@@ -297,14 +313,15 @@ type Seen = Rc<std::cell::RefCell<Vec<(u64, usize)>>>;
 fn armed_until_ready(m: &Marcel, cost: SimDuration) -> (Rc<Cell<bool>>, Seen) {
     let ready = Rc::new(Cell::new(false));
     let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
-    let (r, s) = (Rc::clone(&ready), Rc::clone(&seen));
-    m.register_idle_hook(move |m: &Marcel, core: CoreId| {
+    let (r, r2, s) = (Rc::clone(&ready), Rc::clone(&ready), Rc::clone(&seen));
+    let poll = move |m: &Marcel, core: CoreId| {
         if !r.get() {
             return HookResult::Idle(cost);
         }
         s.borrow_mut().push((m.sim().now().as_nanos(), core.0));
         HookResult::Nothing
-    });
+    };
+    m.register_idle_hook(Hook(poll, move || r2.get() as u64));
     (ready, seen)
 }
 
@@ -364,8 +381,8 @@ fn parked_cores_sharing_an_instant_wake_in_polling_order() {
         let order = Rc::clone(&order);
         let ready = Rc::new(Cell::new(false));
         let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let (r, s) = (Rc::clone(&ready), Rc::clone(&seen));
-        m.register_idle_hook(move |m: &Marcel, core: CoreId| {
+        let (r, r2, s) = (Rc::clone(&ready), Rc::clone(&ready), Rc::clone(&seen));
+        let poll = move |m: &Marcel, core: CoreId| {
             if r.get() {
                 s.borrow_mut().push((m.sim().now().as_nanos(), core.0));
                 return HookResult::Nothing;
@@ -374,7 +391,8 @@ fn parked_cores_sharing_an_instant_wake_in_polling_order() {
                 order.borrow_mut().push(core.0);
             }
             HookResult::Idle(SimDuration::from_nanos(230))
-        });
+        };
+        m.register_idle_hook(Hook(poll, move || r2.get() as u64));
         (ready, seen)
     };
     // Cores 2, 0, 1 sweep at t = 0 in that order and share every grid
@@ -401,7 +419,8 @@ fn blocked_receive_that_never_arrives_leaves_the_run_wedged() {
         ..MarcelConfig::zero_cost()
     };
     let m = Marcel::new(sim.clone(), topo, NodeId(0), cfg);
-    m.register_idle_hook(|_: &Marcel, _: CoreId| HookResult::Idle(SimDuration::from_nanos(230)));
+    let idle = |_: &Marcel, _: CoreId| HookResult::Idle(SimDuration::from_nanos(230));
+    m.register_idle_hook(Hook(idle, || 0));
     m.start_timer(SimDuration::from_micros(100), |_| {});
     let never = Trigger::new();
     m.spawn("recv", Priority::Normal, None, move |ctx| async move {
@@ -599,9 +618,8 @@ enum Mode {
     Nothing,
 }
 
-/// A core-independent hook that answers [`IdleHook::view`], so its node
-/// wakes one parked core per change; records `(instant ns, core)` of
-/// every poll it really runs.
+/// A hook whose behaviour the test switches through [`Mode`]; records
+/// `(instant ns, core)` of every poll it really runs.
 struct ViewedHook {
     mode: Rc<Cell<Mode>>,
     polls: Seen,
@@ -622,8 +640,8 @@ impl IdleHook for ViewedHook {
         }
     }
 
-    fn view(&self) -> Option<u64> {
-        Some(self.mode.get() as u64)
+    fn view(&self) -> u64 {
+        self.mode.get() as u64
     }
 }
 

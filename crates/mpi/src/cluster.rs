@@ -282,6 +282,7 @@ impl Cluster {
                     ("rma_accs".into(), c.rma_accs as f64),
                     ("rma_applied".into(), c.rma_applied as f64),
                     ("rma_acks_tx".into(), c.rma_acks_tx as f64),
+                    ("rma_bad_frames".into(), c.rma_bad_frames as f64),
                 ]
             });
             if let Some(pioman) = self.piomans[n].clone() {
@@ -425,6 +426,29 @@ mod tests {
         let cluster = Cluster::build(ClusterConfig::paper_testbed(EngineKind::Sequential));
         assert!(cluster.pioman(0).is_none());
         assert_eq!(cluster.engine(), EngineKind::Sequential);
+    }
+
+    #[test]
+    fn bad_rma_frames_reach_the_registry() {
+        let cluster = Cluster::build(ClusterConfig::paper_testbed(EngineKind::Sequential));
+        let s = cluster.session(0).clone();
+        cluster.spawn_on(0, "tx", move |ctx| async move {
+            // Node 1 exposes no window 7: its put frame is dropped there.
+            let op = s.rma_stage_put(NodeId(1), 7, 0, vec![1; 8]);
+            s.rma_inject(op);
+            let h = s.isend(&ctx, NodeId(1), Tag(1), vec![2]).await;
+            s.swait_send(&h, &ctx).await;
+        });
+        let s = cluster.session(1).clone();
+        cluster.spawn_on(1, "rx", move |ctx| async move {
+            let _ = s.recv(&ctx, Some(NodeId(0)), Tag(1)).await;
+        });
+        cluster.run();
+        let reg = MetricsRegistry::new();
+        cluster.register_metrics(&reg);
+        let snapshot = reg.snapshot();
+        let nm1 = &snapshot.iter().find(|(g, _)| g == "nm.node1").unwrap().1;
+        assert!(nm1.contains(&("rma_bad_frames".into(), 1.0)), "{nm1:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! The [`workloads`] module contains the paper's benchmark programs
 //! (Figure 4's overlap loop and Figure 7/8's convolution-style stencil),
-//! shared by the examples and by the reproduction binaries in `pm2-bench`.
+//! shared by the examples and by the claims table in `pm2-bench`.
 
 #![warn(missing_docs)]
 

@@ -131,7 +131,7 @@ pub struct PingPongResult {
 /// Classic ping-pong: rank 0 sends, rank 1 echoes, half the round trip is
 /// the latency. No computation — this produces the NetPIPE-style
 /// latency/bandwidth curve used as the "no computation (reference)"
-/// series and by the `bandwidth` reproduction binary.
+/// series and by the `bandwidth` row of `pm2-bench`'s claims table.
 pub fn run_pingpong(cfg: ClusterConfig, msg_len: usize, iters: usize) -> PingPongResult {
     assert!(cfg.nodes >= 2, "ping-pong needs two nodes");
     let cluster = Cluster::build(cfg);

@@ -64,12 +64,6 @@ pub struct SessionConfig {
     /// CPU per failed acquisition. The PIOMAN engine does not use it
     /// (per-event spinlocks are modelled in `PiomanConfig::lock_model`).
     pub seq_lock_spin: SimDuration,
-    /// Ack/retransmit reliability layer: `Some(true)` forces it on,
-    /// `Some(false)` forces it off, `None` (the default) enables it
-    /// exactly when a rail carries an active
-    /// [`FaultPlan`](pm2_fabric::FaultPlan) — so the happy path stays
-    /// byte-identical to a build without the reliability machinery.
-    pub reliability: Option<bool>,
     /// Base retransmit timeout for an unacknowledged envelope, on top of
     /// twice the frame's nominal wire time. Retries back off
     /// exponentially from here (`pm2_sync::exp_factor`).
@@ -92,7 +86,6 @@ impl Default for SessionConfig {
             adaptive_min_cost: SimDuration::from_micros(2),
             credit_bytes_per_peer: 16 << 20,
             seq_lock_spin: SimDuration::from_nanos(200),
-            reliability: None,
             retransmit_timeout: SimDuration::from_micros(100),
             max_retries: 16,
         }

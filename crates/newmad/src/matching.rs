@@ -101,16 +101,20 @@ impl std::hash::Hasher for FxHasher {
 type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Once a bucket map holds this many entries *and* outnumbers the live
-/// arena fourfold, emptied queues are swept and the table shrunk to what
-/// is left. Below the floor they are kept so a ping-pong on a few
+/// arena fourfold, queues with no live entry are swept and the table
+/// shrunk to what is left. Below the floor they are kept so a ping-pong on a few
 /// `(peer, tag)` keys reuses its queues' capacity instead of re-allocating
 /// every round; keys used once (a tag per round or per collective) are
 /// reclaimed after a handful.
 const MAP_SWEEP_FLOOR: usize = 8;
 
-fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(map: &mut FxMap<K, VecDeque<V>>, live: usize) {
+fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(
+    map: &mut FxMap<K, VecDeque<V>>,
+    live: usize,
+    is_live: impl Fn(&V) -> bool,
+) {
     if map.len() > MAP_SWEEP_FLOOR && map.len() > 4 * live {
-        map.retain(|_, q| !q.is_empty());
+        map.retain(|_, q| q.iter().any(&is_live));
         map.shrink_to_fit();
     }
 }
@@ -197,8 +201,9 @@ impl<T> PostedTable<T> {
         }
         // lint-allow: arena invariant, queues only index live entries
         let (_, value) = self.arena.remove(idx).expect("queue front in arena");
-        sweep_if_bloated(&mut self.by_src, self.arena.len());
-        sweep_if_bloated(&mut self.any_src, self.arena.len());
+        // Posted queues hold only live entries.
+        sweep_if_bloated(&mut self.by_src, self.arena.len(), |_| true);
+        sweep_if_bloated(&mut self.any_src, self.arena.len(), |_| true);
         (Some(value), probes.max(1))
     }
 }
@@ -214,7 +219,8 @@ impl<T> Default for PostedTable<T> {
 ///
 /// Each entry is indexed twice — under `(src, tag)` for directed
 /// receives and under `tag` for wildcards — and validated by stamp on
-/// access, so the twin left behind by a removal is skipped lazily.
+/// access, so the twin left behind by a removal is skipped lazily, and
+/// a queue left holding only twins is swept with the emptied ones.
 pub(crate) struct ArrivalPool<T> {
     arena: Slab<(u64, T)>,
     by_src: FxMap<(NodeId, Tag), VecDeque<(usize, u64)>>,
@@ -247,6 +253,11 @@ impl<T> ArrivalPool<T> {
         self.by_tag.entry(tag).or_default().push_back((idx, stamp));
     }
 
+    /// True if `(idx, stamp)` indexes a live entry, not a stale twin.
+    fn is_live(arena: &Slab<(u64, T)>, &(idx, stamp): &(usize, u64)) -> bool {
+        arena.get(idx).is_some_and(|&(live, _)| live == stamp)
+    }
+
     /// Pops stale twins off the selected queue's front until a live entry
     /// (or the end) is reached; returns its arena index.
     fn front_live(&mut self, src: Option<NodeId>, tag: Tag, probes: &mut u64) -> Option<usize> {
@@ -256,12 +267,12 @@ impl<T> ArrivalPool<T> {
         }?;
         let arena = &self.arena;
         let found = loop {
-            let Some(&(idx, stamp)) = q.front() else {
+            let Some(&entry) = q.front() else {
                 break None;
             };
             *probes += 1;
-            if arena.get(idx).is_some_and(|&(live, _)| live == stamp) {
-                break Some(idx);
+            if Self::is_live(arena, &entry) {
+                break Some(entry.0);
             }
             q.pop_front(); // stale twin: consumed through the other index
         };
@@ -284,8 +295,10 @@ impl<T> ArrivalPool<T> {
             .pop_front();
             // lint-allow: arena invariant, stamp validated by front_live
             let value = self.arena.remove(idx).expect("validated live").1;
-            sweep_if_bloated(&mut self.by_src, self.arena.len());
-            sweep_if_bloated(&mut self.by_tag, self.arena.len());
+            let arena = &self.arena;
+            let is_live = |e: &(usize, u64)| Self::is_live(arena, e);
+            sweep_if_bloated(&mut self.by_src, arena.len(), is_live);
+            sweep_if_bloated(&mut self.by_tag, arena.len(), is_live);
             value
         });
         (value, probes.max(1))
@@ -655,7 +668,7 @@ mod tests {
         const MAX_SLOTS: usize = 2 * MAP_SWEEP_FLOOR;
         let mut posted = PostedTable::new();
         let mut arrived = ArrivalPool::new();
-        let (mut posted_max, mut arrived_max) = (0, 0);
+        let (mut posted_max, mut arrived_max, mut by_tag_max) = (0, 0, 0);
         for round in 0..1_000u64 {
             let (src, tag) = (nid((round % 3) as usize), Tag(1000 + round));
             posted.push(Some(src), tag, round);
@@ -664,6 +677,7 @@ mod tests {
             assert_eq!(arrived.take(Some(src), tag).0, Some(round));
             posted_max = posted_max.max(posted.by_src.capacity());
             arrived_max = arrived_max.max(arrived.by_src.capacity());
+            by_tag_max = by_tag_max.max(arrived.by_tag.capacity());
         }
         assert!(
             posted_max <= MAX_SLOTS,
@@ -673,8 +687,15 @@ mod tests {
             arrived_max <= MAX_SLOTS,
             "arrived by_src grew to {arrived_max}"
         );
+        // Each directed take leaves a stale twin under its tag: the
+        // queues holding only twins are swept like emptied ones.
+        assert!(
+            by_tag_max <= MAX_SLOTS,
+            "arrived by_tag grew to {by_tag_max}"
+        );
         assert!(posted.by_src.len() <= MAP_SWEEP_FLOOR);
         assert!(arrived.by_src.len() <= MAP_SWEEP_FLOOR);
+        assert!(arrived.by_tag.len() <= MAP_SWEEP_FLOOR);
     }
 
     #[test]

@@ -33,8 +33,10 @@ pub(crate) struct SessionInner {
     pub(crate) pioman: Option<Pioman>,
     pub(crate) registry: MemoryRegistry,
     pub(crate) cfg: SessionConfig,
-    /// Whether the ack/retransmit reliability layer is active (resolved
-    /// from [`SessionConfig::reliability`] and the rails' fault plans).
+    /// Whether the ack/retransmit reliability layer is active: exactly
+    /// when a rail carries an active [`FaultPlan`](pm2_fabric::FaultPlan),
+    /// so the happy path stays byte-identical to a build without the
+    /// reliability machinery.
     pub(crate) reliability: bool,
     /// Virtual time until which the sequential engine's library-wide
     /// mutex is held.
@@ -115,11 +117,9 @@ impl Session {
         }
         let params = rails[0].params().clone();
         let n_rails = rails.len();
-        // Reliability defaults to "on iff some rail can actually lose
-        // frames", so fault-free runs keep the original wire format.
-        let reliability = cfg
-            .reliability
-            .unwrap_or_else(|| rails.iter().any(|r| r.params().fault.is_active()));
+        // Reliability is on iff some rail can actually lose frames, so
+        // fault-free runs keep the original wire format.
+        let reliability = rails.iter().any(|r| r.params().fault.is_active());
         let inner = Rc::new(SessionInner {
             sim: marcel.sim().clone(),
             marcel: marcel.clone(),
