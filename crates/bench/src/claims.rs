@@ -619,9 +619,10 @@ mod abl_adaptive {
         s + "Observed: in the pure-latency loop the policies tie — `swait` runs\n\
              right after `isend` and reclaims the submission inline before the\n\
              offload tasklet's cross-CPU invocation (2µs) completes, so the\n\
-             offload machinery never hurts latency. With computation to hide\n\
-             behind, offloading (always) wins as soon as there is an idle core;\n\
-             adaptive inlines only the submissions cheaper than the invocation\n\
+             offload machinery never hurts latency. With 20µs of computation\n\
+             to hide behind, offloading (always) wins up to 8K; at 32K the\n\
+             transfer outlasts the computation and the invocation shows.\n\
+             Adaptive inlines only the submissions cheaper than the invocation\n\
              overhead and otherwise matches `always`.\n"
     }
 

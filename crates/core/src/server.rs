@@ -999,21 +999,23 @@ impl Pioman {
             }
             self.ensure_watcher();
             // Block on a trigger fired by whichever request finishes
-            // first. The per-turn forwarders stay (unlike the watcher's,
-            // which `Trigger::wait_any` replaced): each completes when its
-            // request does, so none leaks, and waking the thread straight
-            // from the request triggers reorders same-instant wakes, which
-            // moves the `ring_1024` and `coll_rma_step` counts and the
-            // `tests/idle.rs` `coll_rma_step` golden at seed 1.
+            // first, through one forwarder per turn: it waits on every
+            // request trigger at once and fires `any`. The hop through
+            // `any` stays (waking the thread straight from the request
+            // triggers reorders same-instant wakes, which moves the
+            // `ring_1024` and `coll_rma_step` counts and the
+            // `tests/idle.rs` `coll_rma_step` golden at seed 1). The
+            // forwarder ends at the first completion and its `AnyWait`
+            // leaves every other trigger, so a request that stays pending
+            // across many turns holds no waiter of a finished turn.
             let any = Trigger::new();
-            for req in reqs {
-                let t = any.clone();
-                let trig = req.trigger().clone();
-                self.inner.sim.spawn(async move {
-                    trig.wait().await;
-                    t.fire();
-                });
-            }
+            let trigs: Vec<Trigger> = reqs.iter().map(|r| r.trigger().clone()).collect();
+            let first = Trigger::wait_any(&trigs);
+            let t = any.clone();
+            self.inner.sim.spawn(async move {
+                first.await;
+                t.fire();
+            });
             ctx.block_until(&any, true).await;
         }
     }
@@ -1373,6 +1375,45 @@ mod tests {
         sim.run();
         assert_eq!(winner.get(), 1, "the fast request should win");
         assert!(fast.is_complete());
+    }
+
+    #[test]
+    fn blocked_wait_any_holds_one_forwarder_per_turn() {
+        // N requests complete one per turn; the thread re-waits on the
+        // ones still pending each time. A forwarder per request per turn
+        // would leave (N - k)·(k + 1) tasks alive at turn k.
+        const N: usize = 8;
+        let (sim, marcel, pioman, driver) = setup(2, PiomanConfig::default());
+        let reqs: Vec<PiomReq> = (0..N).map(|_| PiomReq::new(&sim, "r")).collect();
+        for (i, r) in reqs.iter().enumerate() {
+            driver.arm(SimTime::from_micros(10 * (i as u64 + 1)), r.clone());
+        }
+        // Mid-turn probes, while the thread is blocked: the most live
+        // tasks, and the most waiters on one pending request's trigger.
+        let seen = Rc::new(Cell::new((0usize, 0usize)));
+        for i in 0..N as u64 {
+            let (seen, reqs, sim2) = (Rc::clone(&seen), reqs.clone(), sim.clone());
+            sim.schedule_at(SimTime::from_micros(10 * i + 5), move |_| {
+                let pending = reqs.iter().filter(|r| !r.is_complete());
+                let waiters = pending.map(|r| r.trigger().waiter_count()).max();
+                let (tasks, most) = seen.get();
+                seen.set((tasks.max(sim2.live_tasks()), most.max(waiters.unwrap_or(0))));
+            });
+        }
+        let (pioman2, reqs2) = (pioman.clone(), reqs.clone());
+        marcel.spawn("app", Priority::Normal, None, move |ctx| async move {
+            let mut pending = reqs2;
+            while !pending.is_empty() {
+                let i = pioman2.wait_any(&pending, &ctx).await;
+                pending.remove(i);
+            }
+        });
+        sim.run();
+        assert!(reqs.iter().all(PiomReq::is_complete));
+        let (tasks, waiters) = seen.get();
+        assert!(tasks <= 2, "{tasks} live tasks for one blocked thread");
+        assert_eq!(waiters, 1, "a pending trigger held {waiters} waiters");
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

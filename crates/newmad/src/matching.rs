@@ -378,9 +378,12 @@ pub(crate) struct NmState {
     pub(crate) parked_rts: HashSet<(NodeId, u64)>,
     pub(crate) rdv_sends: HashMap<u64, RdvSend>,
     pub(crate) rdv_recvs: HashMap<(NodeId, u64), RdvRecv>,
-    /// CTS frames that matched before their RdvSend found (never in-order
-    /// fabric, but kept for robustness under jitter): none expected.
-    pub(crate) send_seq: HashMap<(NodeId, Tag), u32>,
+    /// Sender side: next message sequence number per destination. One
+    /// counter serves every tag: it is monotone in send order within each
+    /// `(dest, tag)` flow, which is all [`NmState::note_delivery`] reads.
+    pub(crate) send_seq: HashMap<NodeId, u32>,
+    /// Receiver side: highest sequence number delivered per `(src, tag)`
+    /// flow.
     pub(crate) last_delivered: HashMap<(NodeId, Tag), u32>,
     /// Sender side: remaining eager credits per destination.
     pub(crate) credits: HashMap<NodeId, i64>,
@@ -540,7 +543,8 @@ impl NmState {
     }
 
     /// Tracks delivery order per flow (detects reordering introduced by
-    /// non-FIFO strategies).
+    /// non-FIFO strategies). Seqs are compared only within one
+    /// `(src, tag)` flow; they need not be consecutive there.
     pub(crate) fn note_delivery(&mut self, src: NodeId, tag: Tag, seq: u32) {
         let last = self.last_delivered.entry((src, tag)).or_insert(0);
         if seq < *last {

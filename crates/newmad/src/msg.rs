@@ -24,7 +24,8 @@ impl fmt::Display for Tag {
 pub struct EagerPart {
     /// Matching tag.
     pub tag: Tag,
-    /// Per-(destination, tag) sequence number.
+    /// The sender's per-destination sequence number (monotone within
+    /// each tag's flow).
     pub seq: u32,
     /// Payload.
     pub data: Vec<u8>,
@@ -42,7 +43,7 @@ pub enum WireMsg {
     Rts {
         /// Matching tag.
         tag: Tag,
-        /// Sequence number in the (dest, tag) flow.
+        /// The sender's per-destination sequence number.
         seq: u32,
         /// Payload length of the upcoming transfer.
         len: usize,
@@ -224,7 +225,7 @@ impl WireMsg {
 pub struct ShmMsg {
     /// Matching tag.
     pub tag: Tag,
-    /// Sequence number in the (node-local, tag) flow.
+    /// The node's own per-destination sequence number.
     pub seq: u32,
     /// Payload.
     pub data: Vec<u8>,

@@ -270,7 +270,7 @@ impl Session {
         let inline_submission = {
             let mut st = self.inner.state.borrow_mut();
             st.counters.sends += 1;
-            let seq = st.send_seq.entry((dest, tag)).or_insert(0);
+            let seq = st.send_seq.entry(dest).or_insert(0);
             let this_seq = *seq;
             *seq += 1;
             // Flow control: an eager send needs unexpected-pool credits at

@@ -106,9 +106,9 @@ impl Trigger {
         }
     }
 
-    /// Wakers currently registered with this trigger.
-    #[cfg(test)]
-    fn waiter_count(&self) -> usize {
+    /// Wakers currently registered with this trigger (a leak diagnostic:
+    /// a finished wait must leave none behind).
+    pub fn waiter_count(&self) -> usize {
         self.state.borrow().waiters.len()
     }
 }

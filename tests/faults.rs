@@ -23,7 +23,7 @@ use pm2_mpi::{Cluster, ClusterConfig};
 use pm2_newmad::{EngineKind, NmCounters, Tag};
 use pm2_sim::{SimDuration, SimTime};
 use pm2_topo::NodeId;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Wedge guard: the slowest scenario (an abandoned retry ladder under
@@ -312,6 +312,65 @@ fn delayed_and_corrupted_frames_recover() {
             "{engine:?}"
         );
         assert!(out.c0.retransmits >= 1, "{engine:?}: {:?}", out.c0);
+    }
+}
+
+/// `ooo_deliveries` counts exactly the late deliveries of each
+/// `(src, tag)` flow. Node 0 sends tags A and B interleaved to node 1;
+/// the frame of the first A is delayed, so the next two A messages
+/// overtake it. Node 1 receives only after everything has arrived, so
+/// each flow is delivered in arrival order: the first A is the one late
+/// delivery. The B messages, numbered from the same per-destination
+/// stream between the A messages, add nothing.
+#[test]
+fn overtaken_message_is_the_only_ooo_delivery() {
+    const A: Tag = Tag(1);
+    const B: Tag = Tag(2);
+    let tags = [A, B, A, B, A, B];
+    for engine in BOTH_ENGINES {
+        let cluster = Cluster::build(faulty(
+            engine,
+            FaultPlan {
+                delay_frames: vec![0],
+                delay: SimDuration::from_micros(40),
+                ..FaultPlan::default()
+            },
+        ));
+        {
+            let s = cluster.session(0).clone();
+            cluster.spawn_on(0, "tx", move |ctx| async move {
+                for (i, tag) in tags.into_iter().enumerate() {
+                    s.send(&ctx, NodeId(1), tag, payload(i, 512)).await;
+                }
+            });
+        }
+        let order = Rc::new(RefCell::new(Vec::new()));
+        {
+            let s = cluster.session(1).clone();
+            let order = Rc::clone(&order);
+            cluster.spawn_on(1, "rx", move |ctx| async move {
+                ctx.compute(SimDuration::from_micros(500)).await;
+                for tag in [A, A, A, B, B, B] {
+                    let data = s.recv(&ctx, Some(NodeId(0)), tag).await;
+                    let i = (0..tags.len()).find(|&i| data == payload(i, 512));
+                    order.borrow_mut().push(i.expect("corrupted message"));
+                }
+            });
+        }
+        cluster.run_deadline(FAULT_DEADLINE);
+        let order = order.take();
+        assert_eq!(order, [2, 4, 0, 1, 3, 5], "{engine:?}: delivery order");
+        // A delivery is late when its flow already delivered a later send.
+        let late = (0..order.len())
+            .filter(|&k| {
+                order[..k]
+                    .iter()
+                    .any(|&j| tags[j] == tags[order[k]] && j > order[k])
+            })
+            .count();
+        let c1 = cluster.session(1).counters();
+        assert_eq!(c1.ooo_deliveries, late as u64, "{engine:?}: {c1:?}");
+        assert_eq!(cluster.nic_counters(1, 0).faults_delayed, 1, "{engine:?}");
     }
 }
 
