@@ -46,7 +46,9 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # idle (parked idle cores reproduce the polled goldens; events per message;
 # one parked core woken per change; no leaked tasks) and drop (a dropped
 # cluster frees every heap byte; heap bytes per rank stay flat from 1 024
-# to 8 192 ranks, and a ring run's peak stays within its per-rank bound).
+# to 8 192 ranks, and a ring run's peak stays within its per-rank bound;
+# release-only, so it runs here at 1, 7 and 42: a ring on 8 192 ranks
+# stays under its per-rank heap ceiling, ~20 s per seed).
 # The idle suite also runs in debug at seeds 7 and 42 (`cargo test` above
 # covered seed 1): debug builds run the parking oracle, which panics where
 # a change skipped its ring.

@@ -4,6 +4,7 @@ use crate::params::FabricParams;
 use pm2_sim::SimDuration;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Statistics of a [`MemoryRegistry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,7 +29,7 @@ pub struct RegistryStats {
 /// Buffers are identified by an opaque `(id, len)` pair supplied by the
 /// caller (standing in for the virtual address range).
 pub struct MemoryRegistry {
-    params: FabricParams,
+    params: Rc<FabricParams>,
     state: RefCell<RegistryState>,
 }
 
@@ -40,10 +41,11 @@ struct RegistryState {
 }
 
 impl MemoryRegistry {
-    /// Creates an empty registry with the cache capacity from `params`.
-    pub fn new(params: FabricParams) -> Self {
+    /// Creates an empty registry with the cache capacity from `params`
+    /// (a session passes its rail's shared `Rc`).
+    pub fn new(params: impl Into<Rc<FabricParams>>) -> Self {
         MemoryRegistry {
-            params,
+            params: params.into(),
             state: RefCell::new(RegistryState {
                 entries: VecDeque::new(),
                 bytes: 0,

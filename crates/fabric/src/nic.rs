@@ -91,7 +91,7 @@ struct Fate {
 pub struct Fabric<P: 'static> {
     sim: Sim,
     topo: Rc<Topology>,
-    params: FabricParams,
+    params: Rc<FabricParams>,
     state: RefCell<FabricState>,
     /// Fault stream, seeded by the plan: disjoint from the simulation RNG
     /// so an active plan never shifts happy-path jitter draws.
@@ -100,13 +100,16 @@ pub struct Fabric<P: 'static> {
 }
 
 impl<P: 'static> Fabric<P> {
-    /// Builds the fabric for `topo` with the given cost model.
-    pub fn new(sim: Sim, topo: Rc<Topology>, params: FabricParams) -> Rc<Self> {
+    /// Builds the fabric for `topo` with the given cost model. Every NIC
+    /// shares the one model; pass an `Rc` to share it further (with the
+    /// shared-memory channels, other rails).
+    pub fn new(sim: Sim, topo: Rc<Topology>, params: impl Into<Rc<FabricParams>>) -> Rc<Self> {
+        let params = params.into();
         let nodes = topo.nodes();
         let fabric = Rc::new(Fabric {
             sim: sim.clone(),
             topo: Rc::clone(&topo),
-            params: params.clone(),
+            params: Rc::clone(&params),
             state: RefCell::new(FabricState {
                 egress_free: vec![SimTime::ZERO; nodes],
                 links: vec![Vec::new(); nodes],
@@ -120,7 +123,7 @@ impl<P: 'static> Fabric<P> {
                 Rc::new(Nic {
                     node: NodeId(n),
                     sim: sim.clone(),
-                    params: params.clone(),
+                    params: Rc::clone(&params),
                     fabric: Rc::downgrade(&fabric),
                     rx: RefCell::new(VecDeque::new()),
                     rx_trigger: RefCell::new(Trigger::new()),
@@ -138,8 +141,8 @@ impl<P: 'static> Fabric<P> {
         Rc::clone(&self.nics.borrow()[node.0])
     }
 
-    /// The cost model.
-    pub fn params(&self) -> &FabricParams {
+    /// The cost model, shared by every NIC of this fabric.
+    pub fn params(&self) -> &Rc<FabricParams> {
         &self.params
     }
 
@@ -332,7 +335,7 @@ impl<P: 'static> Fabric<P> {
 pub struct Nic<P: 'static> {
     node: NodeId,
     sim: Sim,
-    params: FabricParams,
+    params: Rc<FabricParams>,
     fabric: Weak<Fabric<P>>,
     rx: RefCell<VecDeque<Frame<P>>>,
     rx_trigger: RefCell<Trigger>,
@@ -460,8 +463,8 @@ impl<P: 'static> Nic<P> {
         *self.counters.borrow()
     }
 
-    /// The fabric-wide cost model.
-    pub fn params(&self) -> &FabricParams {
+    /// The fabric-wide cost model (one allocation per fabric).
+    pub fn params(&self) -> &Rc<FabricParams> {
         &self.params
     }
 

@@ -18,7 +18,7 @@ use std::rc::Rc;
 pub struct ShmChannel<P> {
     node: NodeId,
     sim: Sim,
-    params: FabricParams,
+    params: Rc<FabricParams>,
     queue: RefCell<VecDeque<P>>,
     trigger: RefCell<Trigger>,
     callback: RefCell<Option<Box<dyn Fn()>>>,
@@ -27,12 +27,13 @@ pub struct ShmChannel<P> {
 }
 
 impl<P: 'static> ShmChannel<P> {
-    /// Creates the channel for `node`.
-    pub fn new(sim: Sim, node: NodeId, params: FabricParams) -> Rc<Self> {
+    /// Creates the channel for `node`; pass the fabric's `Rc` to share
+    /// its cost model instead of holding a copy.
+    pub fn new(sim: Sim, node: NodeId, params: impl Into<Rc<FabricParams>>) -> Rc<Self> {
         Rc::new(ShmChannel {
             node,
             sim,
-            params,
+            params: params.into(),
             queue: RefCell::new(VecDeque::new()),
             trigger: RefCell::new(Trigger::new()),
             callback: RefCell::new(None),

@@ -144,8 +144,11 @@ impl Cluster {
             cfg.sockets_per_node,
             cfg.cores_per_socket,
         ));
+        // One cost model for the whole cluster: every rail's NICs, every
+        // shared-memory channel and every session's registry share it.
+        let params = Rc::new(cfg.fabric);
         let fabrics: Vec<Rc<Fabric<WireMsg>>> = (0..cfg.rails)
-            .map(|_| Fabric::new(sim.clone(), Rc::clone(&topo), cfg.fabric.clone()))
+            .map(|_| Fabric::new(sim.clone(), Rc::clone(&topo), Rc::clone(&params)))
             .collect();
         let mut marcels = Vec::new();
         let mut piomans = Vec::new();
@@ -158,7 +161,7 @@ impl Cluster {
             };
             let rails = fabrics.iter().map(|f| f.nic(NodeId(n))).collect();
             let shm: Rc<ShmChannel<ShmMsg>> =
-                ShmChannel::new(sim.clone(), NodeId(n), cfg.fabric.clone());
+                ShmChannel::new(sim.clone(), NodeId(n), Rc::clone(&params));
             let session = Session::new(
                 &marcel,
                 rails,

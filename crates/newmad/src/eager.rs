@@ -16,7 +16,7 @@ impl Session {
         if src == self.inner.node {
             return;
         }
-        let owed = st.credit_owed.entry(src).or_insert(0);
+        let owed = &mut st.from.entry(src).or_default().credit_owed;
         *owed += wire_bytes;
         let batch = (self.inner.cfg.credit_bytes_per_peer / 4).max(1);
         if *owed >= batch {

@@ -62,7 +62,6 @@ pub(crate) struct UnexpectedMsg {
 pub(crate) struct UnexpectedRts {
     pub(crate) src: NodeId,
     pub(crate) tag: Tag,
-    #[allow(dead_code)]
     pub(crate) seq: u32,
     pub(crate) len: usize,
     pub(crate) rdv: u64,
@@ -73,7 +72,7 @@ pub(crate) struct UnexpectedRts {
 /// against a deterministic simulator and costs real time on the eager
 /// hot path, where nearly every queue is one hash lookup deep.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     fn add(&mut self, word: u64) {
@@ -98,7 +97,7 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+pub(crate) type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Once a bucket map holds this many entries *and* outnumbers the live
 /// arena fourfold, queues with no live entry are swept and the table
@@ -341,11 +340,17 @@ impl SeqWindow {
     /// Records `seq` as seen; returns `true` if it was fresh (first
     /// sighting), `false` for a duplicate.
     pub fn insert(&mut self, seq: u64) -> bool {
-        if seq < self.cum || !self.beyond.insert(seq) {
-            return false;
+        if seq != self.cum {
+            return seq > self.cum && self.beyond.insert(seq);
         }
+        self.cum += 1;
         while self.beyond.remove(&self.cum) {
             self.cum += 1;
+        }
+        if self.beyond.is_empty() {
+            // An emptied `BTreeSet` keeps its node: let it go, so a window
+            // that is caught up holds no heap.
+            self.beyond = BTreeSet::new();
         }
         true
     }
@@ -355,13 +360,191 @@ impl SeqWindow {
         self.cum
     }
 
+    /// How many sequence numbers were seen beyond the cumulative prefix.
+    pub fn beyond_len(&self) -> usize {
+        self.beyond.len()
+    }
+
     /// Out-of-order sequence numbers seen beyond the cumulative prefix.
     pub fn beyond(&self) -> impl Iterator<Item = u64> + '_ {
         self.beyond.iter().copied()
     }
 }
 
+/// Sender side: what a node keeps per destination.
+#[derive(Default)]
+pub(crate) struct ToPeer {
+    /// Next message sequence number. One counter serves every tag: it is
+    /// monotone in send order within each `(dest, tag)` flow, which is all
+    /// [`Delivered`] reads.
+    pub(crate) seq: u32,
+    /// Eager credit bytes spent and not yet returned; the destination's
+    /// unexpected pool has `credit_bytes_per_peer - credits_used` left.
+    pub(crate) credits_used: i64,
+}
+
+/// Receiver side: what a node keeps per source.
+#[derive(Default)]
+pub(crate) struct FromPeer {
+    /// Freed pool bytes not yet returned to the source.
+    pub(crate) credit_owed: usize,
+    /// Which of the source's messages were consumed, for
+    /// `ooo_deliveries`.
+    pub(crate) delivered: Delivered,
+}
+
+/// Once this many of a source's seqs are consumed above its delivered
+/// prefix, the seq at the prefix is taken never to come (a send nobody
+/// receives, an abandoned handshake) and the source stops pruning.
+const STALL_BEYOND: usize = 256;
+
+/// Delivery-order accounting for one source's message stream.
+///
+/// A delivery is out of order iff its `(src, tag)` flow already delivered
+/// a higher seq. Keeping that highest seq for every flow ever seen costs
+/// one entry per tag (per message, for one-shot tags); this keeps it only
+/// where it can still matter. Seqs are consumed at most once, so every
+/// seq still to come lies at or above the source's delivered prefix (all
+/// seqs below it were consumed): a flow whose highest seq fell below the
+/// prefix can never again be overtaken, and its entry is dropped. A
+/// delivery exactly at the prefix of a flow with no entry would be
+/// dropped at once, so it inserts nothing.
+///
+/// A seq that never comes stops the prefix for good. When the set above
+/// it outgrows [`STALL_BEYOND`], the source is `stalled`: it keeps every
+/// flow's entry from then on, as if nothing were pruned.
+#[derive(Default)]
+pub(crate) struct Delivered {
+    /// Consumed seqs: the delivered prefix plus the set above it. Unused
+    /// (and empty) once stalled.
+    window: SeqWindow,
+    /// Highest delivered seq per tag, for flows at or above the prefix
+    /// (every flow once stalled).
+    flows: FxMap<Tag, u32>,
+    stalled: bool,
+}
+
+impl Delivered {
+    /// Records the delivery of `seq` on flow `tag`; returns whether the
+    /// flow had already delivered a higher seq.
+    pub(crate) fn deliver(&mut self, tag: Tag, seq: u32) -> bool {
+        let late = match self.flows.get_mut(&tag) {
+            Some(last) if seq < *last => true,
+            Some(last) => {
+                *last = seq;
+                false
+            }
+            None => {
+                if self.stalled || u64::from(seq) != self.window.cum() {
+                    self.flows.insert(tag, seq);
+                }
+                false
+            }
+        };
+        self.consume(seq);
+        late
+    }
+
+    /// Records that `seq` was consumed without a delivery being counted
+    /// (a parked rendezvous announcement taken by a receive).
+    pub(crate) fn consume(&mut self, seq: u32) {
+        if self.stalled {
+            return;
+        }
+        let prefix = self.window.cum();
+        let fresh = self.window.insert(u64::from(seq));
+        debug_assert!(fresh, "seq {seq} consumed twice");
+        let cum = self.window.cum();
+        if cum != prefix && !self.flows.is_empty() {
+            self.flows.retain(|_, last| u64::from(*last) >= cum);
+            if self.flows.is_empty() {
+                // `retain` keeps the table: release it.
+                self.flows = FxMap::default();
+            }
+        }
+        if self.window.beyond_len() > STALL_BEYOND {
+            self.stalled = true;
+            self.window = SeqWindow::default();
+        }
+    }
+}
+
+/// Rendezvous state, allocated by a node's first rendezvous or parked
+/// RTS: eager-only traffic never pays for it.
+pub(crate) struct RdvState {
+    pub(crate) sends: HashMap<u64, RdvSend>,
+    pub(crate) recvs: HashMap<(NodeId, u64), RdvRecv>,
+    pub(crate) unexpected_rts: ArrivalPool<UnexpectedRts>,
+    /// `(src, rdv)` of every parked RTS — O(1) duplicate suppression
+    /// (the pool itself is keyed by `(src, tag)`, not rdv id).
+    pub(crate) parked_rts: HashSet<(NodeId, u64)>,
+    pub(crate) next_rdv: u64,
+}
+
+impl Default for RdvState {
+    fn default() -> Self {
+        RdvState {
+            sends: HashMap::new(),
+            recvs: HashMap::new(),
+            unexpected_rts: ArrivalPool::new(),
+            parked_rts: HashSet::new(),
+            next_rdv: 1,
+        }
+    }
+}
+
+/// Reliability state, allocated by a node's first envelope: fault-free
+/// runs never pay for it.
+#[derive(Default)]
+pub(crate) struct RelState {
+    /// Next envelope sequence per destination.
+    pub(crate) next_tx: HashMap<NodeId, u64>,
+    /// Unacked envelopes awaiting retransmit, keyed by (destination,
+    /// envelope seq).
+    pub(crate) pending: HashMap<(NodeId, u64), RelPending>,
+    /// Per-source duplicate-suppression windows.
+    pub(crate) rx: HashMap<NodeId, SeqWindow>,
+}
+
+/// One-sided state, allocated by a node's first window or op.
+pub(crate) struct RmaState {
+    /// Windows exposed by this node: id → window memory.
+    pub(crate) windows: HashMap<u64, Vec<u8>>,
+    /// Origin-side ops (staged, in flight, or holding an untaken get
+    /// result).
+    pub(crate) ops: HashMap<u64, RmaOp>,
+    /// Ops issued to a remote target and not yet acked — drives driver
+    /// arming (a completed get whose result sits untaken does not).
+    pub(crate) inflight: usize,
+    /// Next origin-scoped op id.
+    pub(crate) next_op: u64,
+    /// Target-side chunk assembly for large puts, keyed (origin, op).
+    pub(crate) chunks: HashMap<(NodeId, u64), RmaChunks>,
+    /// Origin-side chunk assembly for large get replies, keyed by op
+    /// alone (op ids are origin-scoped; reusing `chunks`' (node, op) key
+    /// could collide with a put this node is target-assembling under the
+    /// same op number from the same peer).
+    pub(crate) get_chunks: HashMap<u64, RmaGetAssembly>,
+}
+
+impl Default for RmaState {
+    fn default() -> Self {
+        RmaState {
+            windows: HashMap::new(),
+            ops: HashMap::new(),
+            inflight: 0,
+            next_op: 1,
+            chunks: HashMap::new(),
+            get_chunks: HashMap::new(),
+        }
+    }
+}
+
 /// All mutable session state behind the `RefCell`.
+///
+/// What every rank uses stays inline; the rendezvous, reliability and
+/// one-sided groups are boxed and allocated on first use. Checks of
+/// pending work read an absent group as empty and never allocate it.
 pub(crate) struct NmState {
     /// Waiting packs bound for the network rails (Figure 3's send list,
     /// one per transport since the progression split).
@@ -372,48 +555,13 @@ pub(crate) struct NmState {
     pub(crate) pack_seq: u64,
     pub(crate) posted: PostedTable<PostedRecv>,
     pub(crate) unexpected: ArrivalPool<UnexpectedMsg>,
-    pub(crate) unexpected_rts: ArrivalPool<UnexpectedRts>,
-    /// `(src, rdv)` of every parked RTS — O(1) duplicate suppression
-    /// (the pool itself is keyed by `(src, tag)`, not rdv id).
-    pub(crate) parked_rts: HashSet<(NodeId, u64)>,
-    pub(crate) rdv_sends: HashMap<u64, RdvSend>,
-    pub(crate) rdv_recvs: HashMap<(NodeId, u64), RdvRecv>,
-    /// Sender side: next message sequence number per destination. One
-    /// counter serves every tag: it is monotone in send order within each
-    /// `(dest, tag)` flow, which is all [`NmState::note_delivery`] reads.
-    pub(crate) send_seq: HashMap<NodeId, u32>,
-    /// Receiver side: highest sequence number delivered per `(src, tag)`
-    /// flow.
-    pub(crate) last_delivered: HashMap<(NodeId, Tag), u32>,
-    /// Sender side: remaining eager credits per destination.
-    pub(crate) credits: HashMap<NodeId, i64>,
-    /// Receiver side: freed pool bytes not yet returned, per source.
-    pub(crate) credit_owed: HashMap<NodeId, usize>,
-    pub(crate) next_rdv: u64,
-    /// Reliability: next envelope sequence per destination.
-    pub(crate) rel_next_tx: HashMap<NodeId, u64>,
-    /// Reliability: unacked envelopes awaiting retransmit, keyed by
-    /// (destination, envelope seq).
-    pub(crate) rel_pending: HashMap<(NodeId, u64), RelPending>,
-    /// Reliability: per-source duplicate-suppression windows.
-    pub(crate) rel_rx: HashMap<NodeId, SeqWindow>,
-    /// One-sided windows exposed by this node: id → window memory.
-    pub(crate) rma_windows: HashMap<u64, Vec<u8>>,
-    /// Origin-side one-sided ops (staged, in flight, or holding an
-    /// untaken get result).
-    pub(crate) rma_ops: HashMap<u64, RmaOp>,
-    /// Ops issued to a remote target and not yet acked — drives driver
-    /// arming (a completed get whose result sits untaken does not).
-    pub(crate) rma_inflight: usize,
-    /// Next origin-scoped op id.
-    pub(crate) next_rma_op: u64,
-    /// Target-side chunk assembly for large puts, keyed (origin, op).
-    pub(crate) rma_chunks: HashMap<(NodeId, u64), RmaChunks>,
-    /// Origin-side chunk assembly for large get replies, keyed by op
-    /// alone (op ids are origin-scoped; reusing `rma_chunks`' (node, op)
-    /// key could collide with a put this node is target-assembling under
-    /// the same op number from the same peer).
-    pub(crate) rma_get_chunks: HashMap<u64, RmaGetAssembly>,
+    /// Sender side, per destination: message seqs and credits.
+    pub(crate) to: FxMap<NodeId, ToPeer>,
+    /// Receiver side, per source: credits owed and delivery order.
+    pub(crate) from: FxMap<NodeId, FromPeer>,
+    pub(crate) rdv: Option<Box<RdvState>>,
+    pub(crate) rel: Option<Box<RelState>>,
+    pub(crate) rma: Option<Box<RmaState>>,
     pub(crate) rail_rr: usize,
     pub(crate) poll_rotor: usize,
     /// Productive progress steps per driver shard (rails…, then shm).
@@ -429,29 +577,44 @@ impl NmState {
             pack_seq: 0,
             posted: PostedTable::new(),
             unexpected: ArrivalPool::new(),
-            unexpected_rts: ArrivalPool::new(),
-            parked_rts: HashSet::new(),
-            rdv_sends: HashMap::new(),
-            rdv_recvs: HashMap::new(),
-            send_seq: HashMap::new(),
-            last_delivered: HashMap::new(),
-            credits: HashMap::new(),
-            credit_owed: HashMap::new(),
-            next_rdv: 1,
-            rel_next_tx: HashMap::new(),
-            rel_pending: HashMap::new(),
-            rel_rx: HashMap::new(),
-            rma_windows: HashMap::new(),
-            rma_ops: HashMap::new(),
-            rma_inflight: 0,
-            next_rma_op: 1,
-            rma_chunks: HashMap::new(),
-            rma_get_chunks: HashMap::new(),
+            to: FxMap::default(),
+            from: FxMap::default(),
+            rdv: None,
+            rel: None,
+            rma: None,
             rail_rr: 0,
             poll_rotor: 0,
             driver_work: vec![0; n_rails + 1],
             counters: NmCounters::default(),
         }
+    }
+
+    /// The rendezvous group, allocated on first use.
+    pub(crate) fn rdv(&mut self) -> &mut RdvState {
+        self.rdv.get_or_insert_with(Box::default)
+    }
+
+    /// The reliability group, allocated on first use.
+    pub(crate) fn rel(&mut self) -> &mut RelState {
+        self.rel.get_or_insert_with(Box::default)
+    }
+
+    /// The one-sided group, allocated on first use.
+    pub(crate) fn rma(&mut self) -> &mut RmaState {
+        self.rma.get_or_insert_with(Box::default)
+    }
+
+    /// True while a rendezvous, an unacked envelope or a one-sided op
+    /// (in flight, or half-assembled) waits on the network.
+    pub(crate) fn protocol_armed(&self) -> bool {
+        self.rdv
+            .as_deref()
+            .is_some_and(|r| !r.sends.is_empty() || !r.recvs.is_empty())
+            || self.rel.as_deref().is_some_and(|r| !r.pending.is_empty())
+            || self
+                .rma
+                .as_deref()
+                .is_some_and(|r| r.inflight > 0 || !r.chunks.is_empty() || !r.get_chunks.is_empty())
     }
 
     /// Enqueues a pack on the transport list matching its destination
@@ -512,23 +675,32 @@ impl NmState {
     /// Parks a rendezvous announcement with no posted receive yet.
     pub(crate) fn park_rts(&mut self, rts: UnexpectedRts) {
         self.counters.unexpected += 1;
-        self.parked_rts.insert((rts.src, rts.rdv));
+        let rdv = self.rdv();
+        rdv.parked_rts.insert((rts.src, rts.rdv));
         let (src, tag) = (rts.src, rts.tag);
-        self.unexpected_rts.push(src, tag, rts);
+        rdv.unexpected_rts.push(src, tag, rts);
     }
 
     /// True if an RTS with this `(src, rdv)` identity is already parked
     /// (duplicate-handshake suppression).
     pub(crate) fn rts_parked(&self, src: NodeId, rdv: u64) -> bool {
-        self.parked_rts.contains(&(src, rdv))
+        self.rdv
+            .as_deref()
+            .is_some_and(|r| r.parked_rts.contains(&(src, rdv)))
     }
 
-    /// Takes the oldest parked RTS matching `(src, tag)`.
+    /// Takes the oldest parked RTS matching `(src, tag)`; its seq is
+    /// consumed (though not counted as a delivery).
     pub(crate) fn take_rts(&mut self, src: Option<NodeId>, tag: Tag) -> Option<UnexpectedRts> {
-        let (rts, probes) = self.unexpected_rts.take(src, tag);
+        let (rts, probes) = match self.rdv.as_deref_mut() {
+            Some(r) => r.unexpected_rts.take(src, tag),
+            // An empty pool answers after one probe.
+            None => (None, 1),
+        };
         self.counters.match_probes += probes;
         if let Some(u) = &rts {
-            self.parked_rts.remove(&(u.src, u.rdv));
+            self.rdv().parked_rts.remove(&(u.src, u.rdv));
+            self.from.entry(u.src).or_default().delivered.consume(u.seq);
         }
         rts
     }
@@ -536,8 +708,13 @@ impl NmState {
     /// Announced length of the oldest matching parked RTS, without
     /// consuming it.
     pub(crate) fn probe_rts(&mut self, src: Option<NodeId>, tag: Tag) -> Option<usize> {
-        let (rts, probes) = self.unexpected_rts.peek(src, tag);
-        let len = rts.map(|u| u.len);
+        let (len, probes) = match self.rdv.as_deref_mut() {
+            Some(r) => {
+                let (rts, probes) = r.unexpected_rts.peek(src, tag);
+                (rts.map(|u| u.len), probes)
+            }
+            None => (None, 1),
+        };
         self.counters.match_probes += probes;
         len
     }
@@ -546,11 +723,9 @@ impl NmState {
     /// non-FIFO strategies). Seqs are compared only within one
     /// `(src, tag)` flow; they need not be consecutive there.
     pub(crate) fn note_delivery(&mut self, src: NodeId, tag: Tag, seq: u32) {
-        let last = self.last_delivered.entry((src, tag)).or_insert(0);
-        if seq < *last {
+        let from = self.from.entry(src).or_default();
+        if from.delivered.deliver(tag, seq) {
             self.counters.ooo_deliveries += 1;
-        } else {
-            *last = seq;
         }
     }
 }
@@ -765,7 +940,7 @@ mod tests {
         assert_eq!(got.rdv, 41);
         assert!(!st.rts_parked(nid(3), 41), "identity cleared on take");
         assert!(st.rts_parked(nid(3), 42));
-        assert_eq!(st.unexpected_rts.len(), 1);
+        assert_eq!(st.rdv.as_deref().map(|r| r.unexpected_rts.len()), Some(1));
     }
 
     #[test]
@@ -778,5 +953,78 @@ mod tests {
         assert!(w.insert(1));
         assert!(!w.insert(1));
         assert!(w.insert(3));
+    }
+
+    /// The former accounting, kept as the reference: the highest seq
+    /// delivered per `(src, tag)` flow, one entry per flow ever seen.
+    #[derive(Default)]
+    struct PerFlowReference {
+        last: HashMap<(NodeId, Tag), u32>,
+        ooo: u64,
+    }
+
+    impl PerFlowReference {
+        fn deliver(&mut self, src: NodeId, tag: Tag, seq: u32) {
+            let last = self.last.entry((src, tag)).or_insert(0);
+            if seq < *last {
+                self.ooo += 1;
+            } else {
+                *last = seq;
+            }
+        }
+    }
+
+    #[test]
+    fn delivered_prefix_counts_ooo_like_the_per_flow_rule() {
+        // Several sources, each numbering its messages to this node with
+        // one counter over every tag; the receiver consumes each stream
+        // in a random order close to seq order, a few messages as
+        // matched parked RTS (consumed, not counted). Source 0 never
+        // delivers one early seq, so it must stall and keep every flow.
+        const SOURCES: usize = 4;
+        const MSGS: u32 = 3 * STALL_BEYOND as u32;
+        for seed in 0..20 {
+            let mut rng = pm2_sim::rng::Xoshiro256::new(seed);
+            let mut pending: Vec<VecDeque<(u32, Tag)>> = (0..SOURCES)
+                .map(|_| (0..MSGS).map(|seq| (seq, Tag(rng.gen_below(6)))).collect())
+                .collect();
+            let lost = pending[0].remove(3 + rng.gen_below(8) as usize);
+            assert!(lost.is_some());
+            let mut st = NmState::new(1);
+            let mut reference = PerFlowReference::default();
+            while pending.iter().any(|p| !p.is_empty()) {
+                let src = rng.gen_below(SOURCES as u64) as usize;
+                let queue = &mut pending[src];
+                if queue.is_empty() {
+                    continue;
+                }
+                let reach = 1 + rng.gen_below(12) as usize;
+                let pick = rng.gen_below(reach.min(queue.len()) as u64) as usize;
+                let Some((seq, tag)) = queue.remove(pick) else {
+                    unreachable!("picked within the queue");
+                };
+                if rng.gen_bool(0.05) {
+                    st.from.entry(nid(src)).or_default().delivered.consume(seq);
+                } else {
+                    st.note_delivery(nid(src), tag, seq);
+                    reference.deliver(nid(src), tag, seq);
+                }
+                assert_eq!(
+                    st.counters.ooo_deliveries, reference.ooo,
+                    "seed {seed}: source {src} seq {seq}"
+                );
+            }
+            assert!(reference.ooo > 0, "seed {seed}: no reordering exercised");
+            for src in 0..SOURCES {
+                let d = &st.from[&nid(src)].delivered;
+                assert_eq!(d.stalled, src == 0, "seed {seed}: source {src}");
+                if src != 0 {
+                    // Every seq came: the prefix passed them all and no
+                    // flow entry is left.
+                    assert_eq!(d.window.cum(), u64::from(MSGS));
+                    assert!(d.flows.is_empty(), "seed {seed}: source {src}");
+                }
+            }
+        }
     }
 }

@@ -91,15 +91,9 @@ impl Session {
         DriverPending {
             submissions: !st.net_packs.is_empty(),
             armed: !st.posted.is_empty()
-                || !st.rdv_sends.is_empty()
-                || !st.rdv_recvs.is_empty()
-                // Unacked reliability envelopes wait for their acks.
-                || !st.rel_pending.is_empty()
-                // In-flight one-sided ops wait for their acks/replies, and
-                // half-assembled chunked puts for their remaining chunks.
-                || st.rma_inflight > 0
-                || !st.rma_chunks.is_empty()
-                || !st.rma_get_chunks.is_empty()
+                // In-flight rendezvous, unacked envelopes and one-sided
+                // ops wait for their next frame.
+                || st.protocol_armed()
                 // Unsolicited traffic (unexpected messages, incoming RTS)
                 // must be drained even with nothing posted.
                 || self.inner.rails[idx].rx_pending(),
@@ -125,12 +119,7 @@ impl Session {
         DriverPending {
             submissions: !st.net_packs.is_empty() || !st.shm_packs.is_empty(),
             armed: !st.posted.is_empty()
-                || !st.rdv_sends.is_empty()
-                || !st.rdv_recvs.is_empty()
-                || !st.rel_pending.is_empty()
-                || st.rma_inflight > 0
-                || !st.rma_chunks.is_empty()
-                || !st.rma_get_chunks.is_empty()
+                || st.protocol_armed()
                 || self.inner.rails.iter().any(|r| r.rx_pending())
                 || self.inner.shm.pending(),
             oldest_submission: match (
@@ -527,9 +516,8 @@ impl Session {
             WireMsg::Rts { tag, seq, len, rdv } => self.handle_rts(src, tag, seq, len, rdv),
             WireMsg::Cts { rdv } => self.handle_cts(rdv),
             WireMsg::Credit { bytes } => {
-                let limit = self.inner.cfg.credit_bytes_per_peer as i64;
                 let mut st = self.inner.state.borrow_mut();
-                *st.credits.entry(src).or_insert(limit) += bytes as i64;
+                st.to.entry(src).or_default().credits_used -= bytes as i64;
                 SimDuration::ZERO
             }
             WireMsg::RdvData {

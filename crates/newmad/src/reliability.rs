@@ -58,7 +58,7 @@ impl Session {
     /// frame's nominal arrival time.
     pub(crate) fn wrap_rel(&self, dest: NodeId, msg: WireMsg) -> (WireMsg, u64) {
         let mut st = self.inner.state.borrow_mut();
-        let next = st.rel_next_tx.entry(dest).or_insert(0);
+        let next = st.rel().next_tx.entry(dest).or_insert(0);
         let rel = *next;
         *next += 1;
         (
@@ -76,7 +76,7 @@ impl Session {
     pub(crate) fn track_rel(&self, dest: NodeId, rel: u64, msg: WireMsg, arrival: SimTime) {
         let fire_at = arrival + self.rel_rto(&msg);
         let timer = self.schedule_rel_timeout(dest, rel, fire_at);
-        self.inner.state.borrow_mut().rel_pending.insert(
+        self.inner.state.borrow_mut().rel().pending.insert(
             (dest, rel),
             RelPending {
                 msg,
@@ -108,13 +108,14 @@ impl Session {
         let own = self.inner.node;
         let retransmit = {
             let mut st = self.inner.state.borrow_mut();
-            let Some(p) = st.rel_pending.get_mut(&(dest, rel)) else {
+            let Some(p) = st.rel().pending.get_mut(&(dest, rel)) else {
                 return; // acked between fire and dispatch
             };
             p.attempts += 1;
             if p.attempts > self.inner.cfg.max_retries {
                 let p = st
-                    .rel_pending
+                    .rel()
+                    .pending
                     .remove(&(dest, rel))
                     // lint-allow: key held by the get_mut above, same borrow
                     .expect("pending present");
@@ -161,7 +162,7 @@ impl Session {
                 drop(st);
                 let timer = self.schedule_rel_timeout(dest, rel, self.inner.sim.now() + delay);
                 let mut st = self.inner.state.borrow_mut();
-                if let Some(p) = st.rel_pending.get_mut(&(dest, rel)) {
+                if let Some(p) = st.rel().pending.get_mut(&(dest, rel)) {
                     p.timer = timer;
                 } else {
                     timer.cancel();
@@ -192,16 +193,17 @@ impl Session {
             return None; // only envelopes are tracked
         };
         match &**inner {
-            WireMsg::Rts { rdv, .. } => st.rdv_sends.remove(rdv).map(|s| s.req),
-            WireMsg::Cts { rdv } => st.rdv_recvs.remove(&(dest, *rdv)).map(|r| r.req),
+            WireMsg::Rts { rdv, .. } => st.rdv().sends.remove(rdv).map(|s| s.req),
+            WireMsg::Cts { rdv } => st.rdv().recvs.remove(&(dest, *rdv)).map(|r| r.req),
             WireMsg::RmaPut { op, .. }
             | WireMsg::RmaPutData { op, .. }
             | WireMsg::RmaGet { op, .. }
             | WireMsg::RmaAcc { op, .. } => {
-                if st.rma_ops.get(op).is_some_and(|o| !o.req.is_complete()) {
-                    let entry = st.rma_ops.remove(op)?;
-                    st.rma_inflight -= 1;
-                    st.rma_get_chunks.remove(op);
+                let rma = st.rma();
+                if rma.ops.get(op).is_some_and(|o| !o.req.is_complete()) {
+                    let entry = rma.ops.remove(op)?;
+                    rma.inflight -= 1;
+                    rma.get_chunks.remove(op);
                     Some(entry.req)
                 } else {
                     None
@@ -217,7 +219,7 @@ impl Session {
         let own = self.inner.node;
         let fresh = {
             let mut st = self.inner.state.borrow_mut();
-            let fresh = st.rel_rx.entry(src).or_default().insert(rel);
+            let fresh = st.rel().rx.entry(src).or_default().insert(rel);
             st.push_pack(
                 own,
                 src,
@@ -246,7 +248,7 @@ impl Session {
     /// Ack arrival: retire the pending envelope and cancel its timer.
     pub(crate) fn handle_ack(&self, src: NodeId, rel: u64) -> SimDuration {
         let mut st = self.inner.state.borrow_mut();
-        if let Some(p) = st.rel_pending.remove(&(src, rel)) {
+        if let Some(p) = st.rel().pending.remove(&(src, rel)) {
             p.timer.cancel();
         }
         // A late ack for an abandoned envelope is silently ignored.

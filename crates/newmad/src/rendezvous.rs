@@ -46,7 +46,11 @@ impl Session {
         let mut st = self.inner.state.borrow_mut();
         // A duplicate RTS (late-delivered copy of a handshake we already
         // answered or parked) must not spawn a second transfer.
-        if st.rdv_recvs.contains_key(&(src, rdv)) || st.rts_parked(src, rdv) {
+        let answered = st
+            .rdv
+            .as_deref()
+            .is_some_and(|r| r.recvs.contains_key(&(src, rdv)));
+        if answered || st.rts_parked(src, rdv) {
             st.counters.dup_suppressed += 1;
             return SimDuration::ZERO;
         }
@@ -63,7 +67,7 @@ impl Session {
         match matched {
             Some(posted) => {
                 st.note_delivery(src, tag, seq);
-                st.rdv_recvs.insert(
+                st.rdv().recvs.insert(
                     (src, rdv),
                     RdvRecv {
                         req: posted.req,
@@ -93,7 +97,7 @@ impl Session {
     /// zero-copy data chunks.
     pub(crate) fn handle_cts(&self, rdv: u64) -> SimDuration {
         let mut st = self.inner.state.borrow_mut();
-        let Some(send) = st.rdv_sends.get_mut(&rdv) else {
+        let Some(send) = st.rdv().sends.get_mut(&rdv) else {
             // Unknown rendezvous: a stale CTS (e.g. for an envelope we
             // abandoned after the retry budget). Ignore it gracefully —
             // under a lossy fabric this is survivable, not a bug.
@@ -111,7 +115,7 @@ impl Session {
         let dest = send.dest;
         let tag = send.tag;
         let req = send.req.clone();
-        st.rdv_sends.remove(&rdv);
+        st.rdv().sends.remove(&rdv);
         drop(st);
         self.inner.sim.obs().emit(
             self.inner.sim.now(),
@@ -185,7 +189,7 @@ impl Session {
         data: Vec<u8>,
     ) -> SimDuration {
         let mut st = self.inner.state.borrow_mut();
-        let Some(recv) = st.rdv_recvs.get_mut(&(src, rdv)) else {
+        let Some(recv) = st.rdv().recvs.get_mut(&(src, rdv)) else {
             // Data for a rendezvous we no longer track: a late retransmit
             // that raced the completing original. Safe to drop — the
             // payload was already assembled and delivered.
@@ -213,7 +217,7 @@ impl Session {
         recv.received += 1;
         if recv.received == chunks {
             // lint-allow: the entry was borrowed mutably just above
-            let recv = st.rdv_recvs.remove(&(src, rdv)).expect("present");
+            let recv = st.rdv().recvs.remove(&(src, rdv)).expect("present");
             st.counters.rdv_completed += 1;
             drop(st);
             let mut assembled = Vec::new();

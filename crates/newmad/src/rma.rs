@@ -117,7 +117,7 @@ impl Session {
         verify.lock_acquire("newmad.state");
         {
             let mut st = self.inner.state.borrow_mut();
-            let prev = st.rma_windows.insert(win, vec![0; len]);
+            let prev = st.rma().windows.insert(win, vec![0; len]);
             assert!(prev.is_none(), "window {win} already exists");
         }
         verify.lock_release("newmad.state");
@@ -129,8 +129,12 @@ impl Session {
     /// target-side verification helper; free of simulated cost).
     pub fn rma_window_read(&self, win: u64, offset: usize, len: usize) -> Vec<u8> {
         let st = self.inner.state.borrow();
-        // lint-allow: local test/verification helper, caller owns the window
-        let w = st.rma_windows.get(&win).expect("window exists");
+        let w = st
+            .rma
+            .as_deref()
+            .and_then(|r| r.windows.get(&win))
+            // lint-allow: local test/verification helper, caller owns the window
+            .expect("window exists");
         w[offset..offset + len].to_vec()
     }
 
@@ -172,8 +176,8 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let op = {
             let mut st = self.inner.state.borrow_mut();
-            let op = st.next_rma_op;
-            st.next_rma_op += 1;
+            let op = st.rma().next_op;
+            st.rma().next_op += 1;
             match kind {
                 RmaOpKind::Put => st.counters.rma_puts += 1,
                 RmaOpKind::Get => st.counters.rma_gets += 1,
@@ -204,7 +208,7 @@ impl Session {
                         bytes: len,
                     },
                 );
-                st.rma_ops.insert(
+                st.rma().ops.insert(
                     op,
                     RmaOp {
                         target,
@@ -229,7 +233,7 @@ impl Session {
                         data: data.expect("accumulate carries data"),
                     },
                 };
-                st.rma_ops.insert(
+                st.rma().ops.insert(
                     op,
                     RmaOp {
                         target,
@@ -238,7 +242,7 @@ impl Session {
                         result: None,
                     },
                 );
-                st.rma_inflight += 1;
+                st.rma().inflight += 1;
             }
             op
         };
@@ -260,7 +264,7 @@ impl Session {
         data: Option<Vec<u8>>,
     ) -> Option<Vec<u8>> {
         // lint-allow: self-target op, the local application owns the window
-        let w = st.rma_windows.get_mut(&win).expect("window exists");
+        let w = st.rma().windows.get_mut(&win).expect("window exists");
         let result = match kind {
             RmaOpKind::Put => {
                 // lint-allow: staging invariant, caller passed data
@@ -294,7 +298,7 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let injected = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_ops.get_mut(&op).and_then(|o| {
+            match st.rma().ops.get_mut(&op).and_then(|o| {
                 let t = o.target;
                 o.staged.take().map(|s| (t, s))
             }) {
@@ -385,25 +389,31 @@ impl Session {
         self.inner
             .state
             .borrow()
-            .rma_ops
-            .get(&op)
+            .rma
+            .as_deref()
+            .and_then(|r| r.ops.get(&op))
             .map(|o| o.req.clone())
     }
 
     /// Takes a completed get's payload, retiring the op entry.
     pub fn rma_take_result(&self, op: u64) -> Option<Vec<u8>> {
         let mut st = self.inner.state.borrow_mut();
-        let entry = st.rma_ops.get_mut(&op)?;
+        let entry = st.rma().ops.get_mut(&op)?;
         let result = entry.result.take();
         if result.is_some() {
-            st.rma_ops.remove(&op);
+            st.rma().ops.remove(&op);
         }
         result
     }
 
     /// Ops issued to remote targets and not yet acked.
     pub fn rma_inflight(&self) -> usize {
-        self.inner.state.borrow().rma_inflight
+        self.inner
+            .state
+            .borrow()
+            .rma
+            .as_deref()
+            .map_or(0, |r| r.inflight)
     }
 
     /// Waits for op `op` from thread `ctx`, engine-dependently.
@@ -416,11 +426,12 @@ impl Session {
         // were already removed by their ack).
         let mut st = self.inner.state.borrow_mut();
         if st
-            .rma_ops
+            .rma()
+            .ops
             .get(&op)
             .is_some_and(|o| o.result.is_none() && o.staged.is_none())
         {
-            st.rma_ops.remove(&op);
+            st.rma().ops.remove(&op);
         }
     }
 
@@ -428,9 +439,9 @@ impl Session {
     pub(crate) fn handle_rma_ack(&self, src: NodeId, op: u64) -> SimDuration {
         let completed = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_ops.remove(&op) {
+            match st.rma().ops.remove(&op) {
                 Some(entry) => {
-                    st.rma_inflight -= 1;
+                    st.rma().inflight -= 1;
                     Some(entry.req)
                 }
                 // Ack for an op we abandoned (retry budget exhausted on
@@ -454,11 +465,11 @@ impl Session {
         let len = data.len();
         let completed = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_ops.get_mut(&op) {
+            match st.rma().ops.get_mut(&op) {
                 Some(entry) if entry.result.is_none() && !entry.req.is_complete() => {
                     entry.result = Some(data);
                     let req = entry.req.clone();
-                    st.rma_inflight -= 1;
+                    st.rma().inflight -= 1;
                     Some(req)
                 }
                 _ => None, // stale or duplicate reply
@@ -493,17 +504,19 @@ impl Session {
         let completed = {
             let mut st = self.inner.state.borrow_mut();
             let live = st
-                .rma_ops
+                .rma()
+                .ops
                 .get(&op)
                 .is_some_and(|o| o.result.is_none() && !o.req.is_complete());
             if !live {
                 // Stale or abandoned op: drop the chunk and any partial
                 // assembly so nothing leaks.
-                st.rma_get_chunks.remove(&op);
+                st.rma().get_chunks.remove(&op);
                 None
             } else {
                 let entry = st
-                    .rma_get_chunks
+                    .rma()
+                    .get_chunks
                     .entry(op)
                     .or_insert_with(|| RmaGetAssembly {
                         parts: vec![None; chunks as usize],
@@ -518,17 +531,17 @@ impl Session {
                     entry.received += 1;
                     if entry.received == chunks {
                         // lint-allow: entry was just inserted or found above
-                        let assembly = st.rma_get_chunks.remove(&op).expect("assembly present");
+                        let assembly = st.rma().get_chunks.remove(&op).expect("assembly present");
                         let mut whole = Vec::new();
                         for part in assembly.parts {
                             // lint-allow: received == chunks ⇒ every slot filled
                             whole.extend_from_slice(&part.expect("chunk present"));
                         }
                         // lint-allow: liveness of the entry checked above, same borrow
-                        let entry = st.rma_ops.get_mut(&op).expect("op present");
+                        let entry = st.rma().ops.get_mut(&op).expect("op present");
                         entry.result = Some(whole);
                         let req = entry.req.clone();
-                        st.rma_inflight -= 1;
+                        st.rma().inflight -= 1;
                         Some(req)
                     } else {
                         None
@@ -567,7 +580,7 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let applied = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_windows.get_mut(&win) {
+            match st.rma().windows.get_mut(&win) {
                 Some(w) => {
                     w[offset..offset + len].copy_from_slice(&data);
                     st.counters.rma_applied += 1;
@@ -625,14 +638,18 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let applied = {
             let mut st = self.inner.state.borrow_mut();
-            if !st.rma_windows.contains_key(&win) {
+            if !st.rma().windows.contains_key(&win) {
                 st.counters.rma_bad_frames += 1;
                 false
             } else {
-                let entry = st.rma_chunks.entry((src, op)).or_insert_with(|| RmaChunks {
-                    seen: vec![false; chunks as usize],
-                    received: 0,
-                });
+                let entry = st
+                    .rma()
+                    .chunks
+                    .entry((src, op))
+                    .or_insert_with(|| RmaChunks {
+                        seen: vec![false; chunks as usize],
+                        received: 0,
+                    });
                 if entry.seen[chunk as usize] {
                     // Duplicate chunk that slipped past the envelope window.
                     st.counters.dup_suppressed += 1;
@@ -641,12 +658,16 @@ impl Session {
                     entry.seen[chunk as usize] = true;
                     entry.received += 1;
                     let done = entry.received == chunks;
-                    // lint-allow: window presence checked above, same borrow
-                    let w = st.rma_windows.get_mut(&win).expect("put to unknown window");
+                    let w = st
+                        .rma()
+                        .windows
+                        .get_mut(&win)
+                        // lint-allow: window presence checked above, same borrow
+                        .expect("put to unknown window");
                     let at = offset + chunk as usize * RMA_CHUNK;
                     w[at..at + len].copy_from_slice(&data);
                     if done {
-                        st.rma_chunks.remove(&(src, op));
+                        st.rma().chunks.remove(&(src, op));
                         st.counters.rma_applied += 1;
                         st.counters.rma_acks_tx += 1;
                         st.push_pack(
@@ -697,7 +718,7 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let served = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_windows.get(&win) {
+            match st.rma().windows.get(&win) {
                 Some(w) => {
                     let data = w[offset..offset + len].to_vec();
                     st.counters.rma_applied += 1;
@@ -776,7 +797,7 @@ impl Session {
         verify.lock_acquire("newmad.state");
         let applied = {
             let mut st = self.inner.state.borrow_mut();
-            match st.rma_windows.get_mut(&win) {
+            match st.rma().windows.get_mut(&win) {
                 Some(w) => {
                     for (wb, db) in w[offset..offset + len].iter_mut().zip(&data) {
                         *wb = wb.wrapping_add(*db);

@@ -9,7 +9,7 @@
 
 use crate::config::{EngineKind, NmCounters, OffloadPolicy, SessionConfig};
 use crate::handles::{RecvHandle, SendHandle};
-use crate::matching::{NmState, PostedRecv};
+use crate::matching::{NmState, PostedRecv, RdvState, RmaState};
 use crate::msg::{EagerPart, ShmMsg, Tag, WireMsg};
 use crate::progress::{RailDriver, ShmDriver};
 use crate::rendezvous::{RdvRecv, RdvSend};
@@ -115,7 +115,7 @@ impl Session {
                 "the Pioman engine requires a Pioman server"
             );
         }
-        let params = rails[0].params().clone();
+        let params = Rc::clone(rails[0].params());
         let n_rails = rails.len();
         // Reliability is on iff some rail can actually lose frames, so
         // fault-free runs keep the original wire format.
@@ -196,19 +196,21 @@ impl Session {
     /// [`SessionDebugState`]).
     pub fn debug_state(&self) -> SessionDebugState {
         let st = self.inner.state.borrow();
+        let rdv = |f: fn(&RdvState) -> usize| st.rdv.as_deref().map_or(0, f);
+        let rma = |f: fn(&RmaState) -> usize| st.rma.as_deref().map_or(0, f);
         SessionDebugState {
             posted: st.posted.len(),
             unexpected: st.unexpected.len(),
-            unexpected_rts: st.unexpected_rts.len(),
-            rdv_sends: st.rdv_sends.len(),
-            rdv_recvs: st.rdv_recvs.len(),
-            rel_pending: st.rel_pending.len(),
+            unexpected_rts: rdv(|r| r.unexpected_rts.len()),
+            rdv_sends: rdv(|r| r.sends.len()),
+            rdv_recvs: rdv(|r| r.recvs.len()),
+            rel_pending: st.rel.as_deref().map_or(0, |r| r.pending.len()),
             net_packs: st.net_packs.len(),
             shm_packs: st.shm_packs.len(),
-            rma_ops: st.rma_ops.len(),
-            rma_inflight: st.rma_inflight,
-            rma_chunks: st.rma_chunks.len(),
-            rma_get_chunks: st.rma_get_chunks.len(),
+            rma_ops: rma(|r| r.ops.len()),
+            rma_inflight: rma(|r| r.inflight),
+            rma_chunks: rma(|r| r.chunks.len()),
+            rma_get_chunks: rma(|r| r.get_chunks.len()),
         }
     }
 
@@ -270,9 +272,9 @@ impl Session {
         let inline_submission = {
             let mut st = self.inner.state.borrow_mut();
             st.counters.sends += 1;
-            let seq = st.send_seq.entry(dest).or_insert(0);
-            let this_seq = *seq;
-            *seq += 1;
+            let to = st.to.entry(dest).or_default();
+            let this_seq = to.seq;
+            to.seq += 1;
             // Flow control: an eager send needs unexpected-pool credits at
             // the destination; without them it demotes to rendezvous
             // (which is zero-copy and needs no pool).
@@ -280,20 +282,20 @@ impl Session {
             if !intra && !use_rdv {
                 let need = (crate::msg::EAGER_HEADER_BYTES + len) as i64;
                 let limit = self.inner.cfg.credit_bytes_per_peer as i64;
-                let c = st.credits.entry(dest).or_insert(limit);
-                if *c < need {
+                if limit - to.credits_used < need {
                     use_rdv = true;
                     st.counters.credit_fallbacks += 1;
                 } else {
-                    *c -= need;
+                    to.credits_used += need;
                 }
             }
             if use_rdv {
                 // Rendezvous: queue the RTS control frame.
-                let rdv = st.next_rdv;
-                st.next_rdv += 1;
+                let rdvs = st.rdv();
+                let rdv = rdvs.next_rdv;
+                rdvs.next_rdv += 1;
                 rdv_id = Some(rdv);
-                st.rdv_sends.insert(
+                rdvs.sends.insert(
                     rdv,
                     RdvSend {
                         dest,
@@ -412,7 +414,7 @@ impl Session {
             } else if let Some(u) = st.take_rts(src, tag) {
                 // A rendezvous was waiting for us: answer it.
                 let reg = self.inner.registry.register(tag.0 | 1 << 63, u.len);
-                st.rdv_recvs.insert(
+                st.rdv().recvs.insert(
                     (u.src, u.rdv),
                     RdvRecv {
                         req: req.clone(),
