@@ -93,46 +93,46 @@ impl Algorithm for FlatAlgo {
             CollKind::Barrier => {
                 if rank == 0 {
                     let recvs: Vec<usize> = (1..p)
-                        .map(|r| plan.recv(r, fl(0, r as u64), vec![], RecvDst::Discard))
+                        .map(|r| plan.recv(r, fl(0, r as u64), &[], RecvDst::Discard))
                         .collect();
                     for r in 1..p {
-                        plan.send(r, fl(1, r as u64), recvs.clone(), SendSrc::Token);
+                        plan.send(r, fl(1, r as u64), &recvs, SendSrc::Token);
                     }
                 } else {
-                    plan.send(0, fl(0, rank as u64), vec![], SendSrc::Token);
-                    plan.recv(0, fl(1, rank as u64), vec![], RecvDst::Discard);
+                    plan.send(0, fl(0, rank as u64), &[], SendSrc::Token);
+                    plan.recv(0, fl(1, rank as u64), &[], RecvDst::Discard);
                 }
             }
             CollKind::Bcast { root } => {
                 if rank == root {
                     for r in (0..p).filter(|&r| r != root) {
-                        plan.send(r, fl(0, r as u64), vec![], whole_send(0));
+                        plan.send(r, fl(0, r as u64), &[], whole_send(0));
                     }
                 } else {
-                    plan.recv(root, fl(0, rank as u64), vec![], whole_replace(0));
+                    plan.recv(root, fl(0, rank as u64), &[], whole_replace(0));
                 }
             }
             CollKind::Reduce { root, op } => {
                 if rank == root {
                     for r in (0..p).filter(|&r| r != root) {
-                        plan.recv(r, fl(0, r as u64), vec![], whole_combine(0, op));
+                        plan.recv(r, fl(0, r as u64), &[], whole_combine(0, op));
                     }
                 } else {
-                    plan.send(root, fl(0, rank as u64), vec![], whole_send(0));
+                    plan.send(root, fl(0, rank as u64), &[], whole_send(0));
                 }
             }
             CollKind::Allreduce { op } => {
                 // Reduce to rank 0, then broadcast from it.
                 if rank == 0 {
                     let recvs: Vec<usize> = (1..p)
-                        .map(|r| plan.recv(r, fl(0, r as u64), vec![], whole_combine(0, op)))
+                        .map(|r| plan.recv(r, fl(0, r as u64), &[], whole_combine(0, op)))
                         .collect();
                     for r in 1..p {
-                        plan.send(r, fl(1, r as u64), recvs.clone(), whole_send(0));
+                        plan.send(r, fl(1, r as u64), &recvs, whole_send(0));
                     }
                 } else {
-                    plan.send(0, fl(0, rank as u64), vec![], whole_send(0));
-                    plan.recv(0, fl(1, rank as u64), vec![], whole_replace(0));
+                    plan.send(0, fl(0, rank as u64), &[], whole_send(0));
+                    plan.recv(0, fl(1, rank as u64), &[], whole_replace(0));
                 }
             }
             CollKind::Gather { root } => {
@@ -141,7 +141,7 @@ impl Algorithm for FlatAlgo {
                         plan.recv(
                             r,
                             fl(0, r as u64),
-                            vec![],
+                            &[],
                             RecvDst::Slot {
                                 slot: r,
                                 range: None,
@@ -153,7 +153,7 @@ impl Algorithm for FlatAlgo {
                     plan.send(
                         root,
                         fl(0, rank as u64),
-                        vec![],
+                        &[],
                         SendSrc::Slot {
                             slot: rank,
                             range: None,
@@ -166,7 +166,7 @@ impl Algorithm for FlatAlgo {
                     plan.send(
                         r,
                         fl(0, rank as u64),
-                        vec![],
+                        &[],
                         SendSrc::Slot {
                             slot: r,
                             range: None,
@@ -175,7 +175,7 @@ impl Algorithm for FlatAlgo {
                     plan.recv(
                         r,
                         fl(0, r as u64),
-                        vec![],
+                        &[],
                         RecvDst::Slot {
                             slot: p + r,
                             range: None,
@@ -257,14 +257,13 @@ impl Algorithm for TreeAlgo {
             CollKind::Bcast { root } => {
                 let v = (rank + p - root) % p;
                 let (parent, children) = binomial(v, p);
-                let recv = parent.map(|pv| {
-                    plan.recv((pv + root) % p, fl(0, v as u64), vec![], whole_replace(0))
-                });
+                let recv = parent
+                    .map(|pv| plan.recv((pv + root) % p, fl(0, v as u64), &[], whole_replace(0)));
                 for (cv, _m) in children {
                     plan.send(
                         (cv + root) % p,
                         fl(0, cv as u64),
-                        recv.into_iter().collect(),
+                        recv.as_slice(),
                         whole_send(0),
                     );
                 }
@@ -275,16 +274,11 @@ impl Algorithm for TreeAlgo {
                 let recvs: Vec<usize> = children
                     .iter()
                     .map(|&(cv, _m)| {
-                        plan.recv(
-                            (cv + root) % p,
-                            fl(0, cv as u64),
-                            vec![],
-                            whole_combine(0, op),
-                        )
+                        plan.recv((cv + root) % p, fl(0, cv as u64), &[], whole_combine(0, op))
                     })
                     .collect();
                 if let Some(pv) = parent {
-                    plan.send((pv + root) % p, fl(0, v as u64), recvs, whole_send(0));
+                    plan.send((pv + root) % p, fl(0, v as u64), &recvs, whole_send(0));
                 }
             }
             CollKind::Allreduce { op } => {
@@ -292,10 +286,9 @@ impl Algorithm for TreeAlgo {
                 let (parent, children) = binomial(rank, p);
                 let recvs: Vec<usize> = children
                     .iter()
-                    .map(|&(cv, _m)| plan.recv(cv, fl(0, cv as u64), vec![], whole_combine(0, op)))
+                    .map(|&(cv, _m)| plan.recv(cv, fl(0, cv as u64), &[], whole_combine(0, op)))
                     .collect();
-                let up = parent
-                    .map(|pv| plan.send(pv, fl(0, rank as u64), recvs.clone(), whole_send(0)));
+                let up = parent.map(|pv| plan.send(pv, fl(0, rank as u64), &recvs, whole_send(0)));
                 // Bcast phase. The root's fan-out waits for its whole
                 // reduction; a non-root's replace-recv must wait for its
                 // own up-send (write-after-read on slot 0).
@@ -303,14 +296,14 @@ impl Algorithm for TreeAlgo {
                     plan.recv(
                         parent.expect("non-root has a parent"),
                         fl(1, rank as u64),
-                        vec![up_send],
+                        &[up_send],
                         whole_replace(0),
                     )
                 });
                 for (cv, _m) in children {
-                    let deps = match down {
-                        Some(d) => vec![d],
-                        None => recvs.clone(),
+                    let deps = match &down {
+                        Some(d) => std::slice::from_ref(d),
+                        None => &recvs,
                     };
                     plan.send(cv, fl(1, cv as u64), deps, whole_send(0));
                 }
@@ -321,7 +314,7 @@ impl Algorithm for TreeAlgo {
                 let recvs: Vec<usize> = children
                     .iter()
                     .map(|&(cv, _m)| {
-                        plan.recv((cv + root) % p, fl(0, cv as u64), vec![], RecvDst::Unpack)
+                        plan.recv((cv + root) % p, fl(0, cv as u64), &[], RecvDst::Unpack)
                     })
                     .collect();
                 if let Some(pv) = parent {
@@ -335,7 +328,7 @@ impl Algorithm for TreeAlgo {
                     plan.send(
                         (pv + root) % p,
                         fl(0, v as u64),
-                        recvs,
+                        &recvs,
                         SendSrc::Packed { ranks: subtree },
                     );
                 }
@@ -400,7 +393,7 @@ impl Algorithm for RingAlgo {
                 let mut prev: Option<usize> = None;
                 for &(r, is_send) in &events {
                     let flow = (((r * p + s) as u64) << CHUNK_BITS) | c as u64;
-                    let deps: Vec<usize> = prev.into_iter().collect();
+                    let deps = prev.as_slice();
                     prev = Some(if is_send {
                         plan.send(
                             right,
@@ -463,11 +456,11 @@ impl Algorithm for RecDoubleAlgo {
                     plan.send(
                         (rank + d) % p,
                         fl(0, k),
-                        prev_recv.into_iter().collect(),
+                        prev_recv.as_slice(),
                         SendSrc::Token,
                     );
                     prev_recv =
-                        Some(plan.recv((rank + p - d) % p, fl(0, k), vec![], RecvDst::Discard));
+                        Some(plan.recv((rank + p - d) % p, fl(0, k), &[], RecvDst::Discard));
                     d <<= 1;
                     k += 1;
                 }
@@ -479,15 +472,15 @@ impl Algorithm for RecDoubleAlgo {
                     // Folded-in extra rank: contribute, then receive the
                     // result. The replace-recv waits for the fold-send
                     // (write-after-read on slot 0).
-                    let s = plan.send(rank - m, fl(0, rank as u64), vec![], whole_send(0));
-                    plan.recv(rank - m, fl(2, rank as u64), vec![s], whole_replace(0));
+                    let s = plan.send(rank - m, fl(0, rank as u64), &[], whole_send(0));
+                    plan.recv(rank - m, fl(2, rank as u64), &[s], whole_replace(0));
                 } else {
                     let mut prev: Option<usize> = None;
                     if rank < rem {
                         prev = Some(plan.recv(
                             rank + m,
                             fl(0, (rank + m) as u64),
-                            vec![],
+                            &[],
                             whole_combine(0, op),
                         ));
                     }
@@ -495,9 +488,8 @@ impl Algorithm for RecDoubleAlgo {
                     let mut k = 0u64;
                     while d < m {
                         let partner = rank ^ d;
-                        let s =
-                            plan.send(partner, fl(1, k), prev.into_iter().collect(), whole_send(0));
-                        prev = Some(plan.recv(partner, fl(1, k), vec![s], whole_combine(0, op)));
+                        let s = plan.send(partner, fl(1, k), prev.as_slice(), whole_send(0));
+                        prev = Some(plan.recv(partner, fl(1, k), &[s], whole_combine(0, op)));
                         d <<= 1;
                         k += 1;
                     }
@@ -505,7 +497,7 @@ impl Algorithm for RecDoubleAlgo {
                         plan.send(
                             rank + m,
                             fl(2, (rank + m) as u64),
-                            prev.into_iter().collect(),
+                            prev.as_slice(),
                             whole_send(0),
                         );
                     }
@@ -544,7 +536,7 @@ mod tests {
         let p = spec.ranks;
         let plans: Vec<Plan> = (0..p).map(|r| algo.algorithm().plan(spec, r)).collect();
         let mut done: Vec<Vec<bool>> = plans.iter().map(|pl| vec![false; pl.steps.len()]).collect();
-        let mut mailbox: HashMap<(usize, usize, u64), VecDeque<Vec<u8>>> = HashMap::new();
+        let mut mailbox: HashMap<(usize, usize, u32), VecDeque<Vec<u8>>> = HashMap::new();
         loop {
             let mut progress = false;
             let mut all_done = true;
@@ -555,19 +547,19 @@ mod tests {
                     }
                     all_done = false;
                     let step = &plans[rank].steps[i];
-                    if !step.deps.iter().all(|&d| done[rank][d]) {
+                    if !plans[rank].deps(i).all(|d| done[rank][d]) {
                         continue;
                     }
                     match &step.op {
                         StepOp::Send(src) => {
                             let bytes = materialize(&bufs[rank], src);
                             mailbox
-                                .entry((rank, step.peer, step.flow))
+                                .entry((rank, step.peer as usize, step.flow))
                                 .or_default()
                                 .push_back(bytes);
                         }
                         StepOp::Recv(dst) => {
-                            let key = (step.peer, rank, step.flow);
+                            let key = (step.peer as usize, rank, step.flow);
                             let Some(q) = mailbox.get_mut(&key) else {
                                 continue;
                             };

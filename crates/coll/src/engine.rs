@@ -124,9 +124,7 @@ impl CollEngine {
             chunk: self.inner.tuning.ring_chunk_bytes,
         };
         let mut plan = algo.algorithm().plan(&spec, self.inner.rank);
-        // The plan lives as long as the collective runs: drop the slack
-        // its step vector grew by doubling.
-        plan.steps.shrink_to_fit();
+        plan.shrink_to_fit();
         let space = self.inner.tags.alloc(kind.id());
         (plan, space)
     }
@@ -229,17 +227,12 @@ impl CollEngine {
         let mut completed = 0usize;
         while completed < n {
             for i in 0..n {
-                if issued[i]
-                    || !plan.steps[i]
-                        .deps
-                        .iter()
-                        .all(|&d| dep_ok(&done, &issued, d))
-                {
+                if issued[i] || !plan.deps(i).all(|d| dep_ok(&done, &issued, d)) {
                     continue;
                 }
                 issued[i] = true;
                 let step = &plan.steps[i];
-                let tag = space.tag(step.flow);
+                let tag = space.tag(u64::from(step.flow));
                 let sim = ctx.marcel().sim();
                 sim.obs().emit(
                     sim.now(),
@@ -247,8 +240,8 @@ impl CollEngine {
                     EventKind::CollStep {
                         rank: self.inner.rank,
                         step: i,
-                        flow: step.flow,
-                        peer: step.peer,
+                        flow: u64::from(step.flow),
+                        peer: step.peer as usize,
                         send: matches!(step.op, StepOp::Send(_)),
                     },
                 );
@@ -265,11 +258,15 @@ impl CollEngine {
                             }
                         }
                         sim.verify().lock_release("coll.state");
-                        let h = session.isend(ctx, NodeId(step.peer), tag, bytes).await;
+                        let h = session
+                            .isend(ctx, NodeId(step.peer as usize), tag, bytes)
+                            .await;
                         inflight.push((i, H::S(h)));
                     }
                     StepOp::Recv(_) => {
-                        let h = session.irecv(ctx, Some(NodeId(step.peer)), tag).await;
+                        let h = session
+                            .irecv(ctx, Some(NodeId(step.peer as usize)), tag)
+                            .await;
                         inflight.push((i, H::R(h)));
                     }
                 }

@@ -184,13 +184,15 @@ pub enum StepOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// The remote rank.
-    pub peer: usize,
+    pub peer: u32,
     /// Flow id — both endpoints derive the same value from the step's
     /// role (phase/round/segment/chunk), so it becomes the low tag bits
-    /// and disambiguates concurrent steps between the same pair.
-    pub flow: u64,
-    /// Indices of steps that must *complete* before this one is issued.
-    pub deps: Vec<usize>,
+    /// (the 32-bit flow field of [`crate::tags`]) and disambiguates
+    /// concurrent steps between the same pair.
+    pub flow: u32,
+    /// Where this step's dependencies sit in the plan's shared list (see
+    /// [`Plan::deps`]).
+    deps: Range<u32>,
     /// The operation.
     pub op: StepOp,
 }
@@ -200,6 +202,9 @@ pub struct Step {
 pub struct Plan {
     /// The steps; dependency edges point at smaller indices.
     pub steps: Vec<Step>,
+    /// Every step's dependencies, concatenated in step order: one
+    /// allocation per plan rather than one per step.
+    deps: Vec<u32>,
 }
 
 impl Plan {
@@ -209,32 +214,52 @@ impl Plan {
     }
 
     /// Appends a send step; returns its index.
-    pub fn send(&mut self, peer: usize, flow: u64, deps: Vec<usize>, src: SendSrc) -> usize {
-        self.push(Step {
-            peer,
-            flow,
-            deps,
-            op: StepOp::Send(src),
-        })
+    ///
+    /// # Panics
+    /// Panics if `flow` overflows the tag's 32-bit flow field.
+    pub fn send(&mut self, peer: usize, flow: u64, deps: &[usize], src: SendSrc) -> usize {
+        self.push(peer, flow, deps, StepOp::Send(src))
     }
 
     /// Appends a receive step; returns its index.
-    pub fn recv(&mut self, peer: usize, flow: u64, deps: Vec<usize>, dst: RecvDst) -> usize {
-        self.push(Step {
-            peer,
-            flow,
-            deps,
-            op: StepOp::Recv(dst),
-        })
+    ///
+    /// # Panics
+    /// Panics if `flow` overflows the tag's 32-bit flow field.
+    pub fn recv(&mut self, peer: usize, flow: u64, deps: &[usize], dst: RecvDst) -> usize {
+        self.push(peer, flow, deps, StepOp::Recv(dst))
     }
 
-    fn push(&mut self, step: Step) -> usize {
+    fn push(&mut self, peer: usize, flow: u64, deps: &[usize], op: StepOp) -> usize {
         debug_assert!(
-            step.deps.iter().all(|&d| d < self.steps.len()),
+            deps.iter().all(|&d| d < self.steps.len()),
             "dependency on a not-yet-planned step"
         );
-        self.steps.push(step);
+        let start = self.deps.len() as u32;
+        self.deps.extend(deps.iter().map(|&d| d as u32));
+        self.steps.push(Step {
+            peer: u32::try_from(peer).expect("rank fits in 32 bits"),
+            flow: u32::try_from(flow)
+                .unwrap_or_else(|_| panic!("flow {flow} overflows the tag field")),
+            deps: start..self.deps.len() as u32,
+            op,
+        });
         self.steps.len() - 1
+    }
+
+    /// Indices of the steps that must *complete* before step `step` is
+    /// issued.
+    pub fn deps(&self, step: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = &self.steps[step].deps;
+        self.deps[range.start as usize..range.end as usize]
+            .iter()
+            .map(|&d| d as usize)
+    }
+
+    /// Drops the slack the step and dependency lists grew by doubling:
+    /// a plan lives as long as its collective runs.
+    pub fn shrink_to_fit(&mut self) {
+        self.steps.shrink_to_fit();
+        self.deps.shrink_to_fit();
     }
 
     /// Number of send steps (the root-hot-spot regression test counts
@@ -412,8 +437,8 @@ mod tests {
     #[test]
     fn plan_counts_sends() {
         let mut p = Plan::new();
-        let r = p.recv(1, 0, vec![], RecvDst::Discard);
-        p.send(1, 1, vec![r], SendSrc::Token);
+        let r = p.recv(1, 0, &[], RecvDst::Discard);
+        p.send(1, 1, &[r], SendSrc::Token);
         assert_eq!(p.send_count(), 1);
         assert_eq!(p.recv_count(), 1);
     }

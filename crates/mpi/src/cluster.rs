@@ -394,6 +394,15 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    /// Discards the work left unfinished ([`Sim::discard_pending`]): an
+    /// application thread, watcher or timer that never ran to its end
+    /// holds the simulation, and with it the whole cluster, alive.
+    fn drop(&mut self) {
+        self.sim.discard_pending();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

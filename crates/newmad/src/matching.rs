@@ -5,25 +5,29 @@
 //! data every protocol path mutates) and the pure matching helpers; the
 //! protocol logic itself lives in `eager`, `rendezvous` and `progress`.
 //!
-//! # Arena-indexed matching
+//! # Keyed matching
 //!
 //! The posted-receive and unexpected pools used to be flat `Vec`s scanned
 //! front to back on every match — O(pool) per lookup, quadratic under the
 //! incast scenarios where hundreds of messages arrive before their
-//! receives are posted. Both are now arena-indexed: entries live in a
-//! [`Slab`] and per-`(source, tag)` bucket queues hold `(index, stamp)`
-//! pairs in arrival order, so a lookup touches only its own bucket's
-//! front. A global monotonic stamp per entry preserves the *exact* former
-//! scan semantics:
+//! receives are posted. Both are now keyed by `(source, tag)` (and by
+//! `tag` for wildcards), so a lookup touches only its own key's front. A
+//! global monotonic stamp per entry preserves the *exact* former scan
+//! semantics:
 //!
-//! * [`PostedTable`]: a posted receive sits in exactly one queue —
-//!   directed `(src, tag)` or wildcard `tag`. A match compares the two
-//!   candidate fronts by stamp, which is precisely "first posted receive
-//!   matching (src, tag)" of the old linear scan.
+//! * [`PostedTable`]: a posted receive sits under exactly one key —
+//!   directed `(src, tag)` or wildcard `tag` — and is stored in that key's
+//!   map slot: the first pending entry inline with its stamp, a queue only
+//!   once a second entry waits on the same key, and the key removed with
+//!   its last entry. A pending receive thus costs one map slot, with no
+//!   arena slot, index record or per-key queue beside it. A match compares
+//!   the two candidate fronts by stamp, which is precisely "first posted
+//!   receive matching (src, tag)" of the old linear scan.
 //! * [`ArrivalPool`]: an unexpected message must be findable both by a
-//!   directed receive and by a wildcard one, so each entry is indexed in
-//!   *two* queues. Consuming it through one index leaves a stale twin in
-//!   the other; twins are skipped (stamp mismatch against the arena) and
+//!   directed receive and by a wildcard one, so its entry lives in a
+//!   [`Slab`] arena and is indexed in *two* queues of `(index, stamp)`
+//!   pairs. Consuming it through one index leaves a stale twin in the
+//!   other; twins are skipped (stamp mismatch against the arena) and
 //!   discarded lazily, so total probe work stays O(entries), each entry
 //!   paying for its own two index records.
 
@@ -36,15 +40,15 @@ use pioman::PiomReq;
 use pm2_sim::Slab;
 use pm2_topo::NodeId;
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use crate::msg::Tag;
 
-/// A receive posted by the application, waiting for a match.
+/// A receive posted by the application, waiting for a match (its source
+/// and tag are its key in the [`PostedTable`]).
 pub(crate) struct PostedRecv {
-    pub(crate) src: Option<NodeId>,
-    pub(crate) tag: Tag,
     pub(crate) req: PiomReq,
     pub(crate) out: Rc<RefCell<Option<Vec<u8>>>>,
 }
@@ -99,12 +103,13 @@ impl std::hash::Hasher for FxHasher {
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
-/// Once a bucket map holds this many entries *and* outnumbers the live
-/// arena fourfold, queues with no live entry are swept and the table
+/// Once an arrival-pool map holds this many entries *and* outnumbers the
+/// live arena fourfold, queues with no live entry are swept and the table
 /// shrunk to what is left. Below the floor they are kept so a ping-pong on a few
 /// `(peer, tag)` keys reuses its queues' capacity instead of re-allocating
 /// every round; keys used once (a tag per round or per collective) are
-/// reclaimed after a handful.
+/// reclaimed after a handful. A posted-receive map is shrunk once it is
+/// larger than the floor and under a quarter full.
 const MAP_SWEEP_FLOOR: usize = 8;
 
 fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(
@@ -118,98 +123,126 @@ fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(
     }
 }
 
-/// Posted receives, arena-backed, matched in posting order.
+/// One key's pending receives in posting order, each with its stamp: the
+/// first inline, a queue only once a second one is pending. A queue is
+/// never empty: the key is removed with its last entry.
+enum Pending<T> {
+    One(u64, T),
+    Many(VecDeque<(u64, T)>),
+}
+
+impl<T> Pending<T> {
+    fn front_stamp(&self) -> Option<u64> {
+        match self {
+            Pending::One(stamp, _) => Some(*stamp),
+            Pending::Many(queue) => queue.front().map(|&(stamp, _)| stamp),
+        }
+    }
+
+    fn push(&mut self, stamp: u64, value: T) {
+        let mut queue = match std::mem::replace(self, Pending::Many(VecDeque::new())) {
+            Pending::One(first, v) => {
+                let mut queue = VecDeque::with_capacity(2);
+                queue.push_back((first, v));
+                queue
+            }
+            Pending::Many(queue) => queue,
+        };
+        queue.push_back((stamp, value));
+        *self = Pending::Many(queue);
+    }
+}
+
+fn push_pending<K: Eq + std::hash::Hash, T>(
+    map: &mut FxMap<K, Pending<T>>,
+    key: K,
+    stamp: u64,
+    value: T,
+) {
+    match map.entry(key) {
+        Entry::Occupied(mut pending) => pending.get_mut().push(stamp, value),
+        Entry::Vacant(slot) => {
+            slot.insert(Pending::One(stamp, value));
+        }
+    }
+}
+
+/// Takes the oldest entry under `key`, removing the key with its last
+/// entry; a table left at a quarter of its capacity is shrunk.
+fn pop_pending<K: Eq + std::hash::Hash, T>(map: &mut FxMap<K, Pending<T>>, key: K) -> Option<T> {
+    let Entry::Occupied(mut slot) = map.entry(key) else {
+        return None;
+    };
+    let value = match slot.get_mut() {
+        Pending::Many(queue) if queue.len() > 1 => queue.pop_front(),
+        _ => match slot.remove() {
+            Pending::One(stamp, v) => Some((stamp, v)),
+            Pending::Many(mut queue) => queue.pop_front(),
+        },
+    };
+    if map.capacity() > MAP_SWEEP_FLOOR && map.len() * 4 < map.capacity() {
+        map.shrink_to_fit();
+    }
+    value.map(|(_, v)| v)
+}
+
+/// Posted receives, matched in posting order.
 ///
-/// Directed posts queue under `(src, tag)`, wildcard posts under `tag`;
-/// an incoming `(src, tag)` message takes the older of the two fronts by
-/// stamp. Entries are only ever removed through their own queue's front,
-/// so no tombstones arise here. Emptied queues stay in their map (their
-/// capacity is reused by the next post on that key) until the amortized
-/// [`sweep_if_bloated`] pass reclaims them.
+/// Directed posts are kept under `(src, tag)`, wildcard posts under
+/// `tag`, each entry in its key's map slot (see [`Pending`]); an incoming
+/// `(src, tag)` message takes the older of the two candidate fronts by
+/// stamp. A key is removed with its last entry, so the maps hold only
+/// keys with a pending receive.
 pub(crate) struct PostedTable<T> {
-    arena: Slab<(u64, T)>,
-    by_src: FxMap<(NodeId, Tag), VecDeque<(usize, u64)>>,
-    any_src: FxMap<Tag, VecDeque<(usize, u64)>>,
+    by_src: FxMap<(NodeId, Tag), Pending<T>>,
+    any_src: FxMap<Tag, Pending<T>>,
+    len: usize,
     next_stamp: u64,
 }
 
 impl<T> PostedTable<T> {
     pub(crate) fn new() -> Self {
         PostedTable {
-            arena: Slab::new(),
             by_src: FxMap::default(),
             any_src: FxMap::default(),
+            len: 0,
             next_stamp: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.arena.len()
+        self.len
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.len == 0
     }
 
     pub(crate) fn push(&mut self, src: Option<NodeId>, tag: Tag, value: T) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        let idx = self.arena.insert((stamp, value));
+        self.len += 1;
         match src {
-            Some(s) => self.by_src.entry((s, tag)).or_default(),
-            None => self.any_src.entry(tag).or_default(),
+            Some(s) => push_pending(&mut self.by_src, (s, tag), stamp, value),
+            None => push_pending(&mut self.any_src, tag, stamp, value),
         }
-        .push_back((idx, stamp));
     }
 
     /// Takes the first (in posting order) entry matching a message from
-    /// `src` with `tag`; returns it plus the probe count (bucket fronts
+    /// `src` with `tag`; returns it plus the probe count (candidate fronts
     /// examined, ≥ 1 per call).
     pub(crate) fn take(&mut self, src: NodeId, tag: Tag) -> (Option<T>, u64) {
-        let mut probes = 0u64;
-        let directed = self
-            .by_src
-            .get(&(src, tag))
-            .and_then(|q| q.front())
-            .copied();
-        probes += directed.is_some() as u64;
-        let wildcard = self.any_src.get(&tag).and_then(|q| q.front()).copied();
-        probes += wildcard.is_some() as u64;
-        let pick = match (directed, wildcard) {
-            (Some((di, ds)), Some((_, ws))) if ds < ws => Some((true, di)),
-            (Some(_), Some((wi, _))) => Some((false, wi)),
-            (Some((di, _)), None) => Some((true, di)),
-            (None, Some((wi, _))) => Some((false, wi)),
+        let directed = self.by_src.get(&(src, tag)).and_then(Pending::front_stamp);
+        let wildcard = self.any_src.get(&tag).and_then(Pending::front_stamp);
+        let probes = (directed.is_some() as u64 + wildcard.is_some() as u64).max(1);
+        let value = match (directed, wildcard) {
+            (Some(d), Some(w)) if d < w => pop_pending(&mut self.by_src, (src, tag)),
+            (Some(_), None) => pop_pending(&mut self.by_src, (src, tag)),
+            (_, Some(_)) => pop_pending(&mut self.any_src, tag),
             (None, None) => None,
         };
-        let Some((from_directed, idx)) = pick else {
-            return (None, probes.max(1));
-        };
-        if from_directed {
-            self.by_src
-                .get_mut(&(src, tag))
-                // lint-allow: arena invariant, front inspected just above
-                .expect("front just seen")
-                .pop_front();
-        } else {
-            self.any_src
-                .get_mut(&tag)
-                // lint-allow: arena invariant, front inspected just above
-                .expect("front just seen")
-                .pop_front();
-        }
-        // lint-allow: arena invariant, queues only index live entries
-        let (_, value) = self.arena.remove(idx).expect("queue front in arena");
-        // Posted queues hold only live entries.
-        sweep_if_bloated(&mut self.by_src, self.arena.len(), |_| true);
-        sweep_if_bloated(&mut self.any_src, self.arena.len(), |_| true);
-        (Some(value), probes.max(1))
-    }
-}
-
-impl<T> Default for PostedTable<T> {
-    fn default() -> Self {
-        PostedTable::new()
+        self.len -= value.is_some() as usize;
+        (value, probes)
     }
 }
 
@@ -360,11 +393,6 @@ impl SeqWindow {
         self.cum
     }
 
-    /// How many sequence numbers were seen beyond the cumulative prefix.
-    pub fn beyond_len(&self) -> usize {
-        self.beyond.len()
-    }
-
     /// Out-of-order sequence numbers seen beyond the cumulative prefix.
     pub fn beyond(&self) -> impl Iterator<Item = u64> + '_ {
         self.beyond.iter().copied()
@@ -383,7 +411,8 @@ pub(crate) struct ToPeer {
     pub(crate) credits_used: i64,
 }
 
-/// Receiver side: what a node keeps per source.
+/// Receiver side: what a node keeps per source. Both fields are inline;
+/// only a source consumed out of order allocates (see [`Delivered`]).
 #[derive(Default)]
 pub(crate) struct FromPeer {
     /// Freed pool bytes not yet returned to the source.
@@ -410,36 +439,60 @@ const STALL_BEYOND: usize = 256;
 /// delivery exactly at the prefix of a flow with no entry would be
 /// dropped at once, so it inserts nothing.
 ///
+/// A source consumed in seq order holds the prefix and nothing else; the
+/// seqs consumed above the prefix and the flow entries live in a box
+/// allocated when the source first consumes out of order and freed once
+/// the prefix has caught up with them.
+///
 /// A seq that never comes stops the prefix for good. When the set above
 /// it outgrows [`STALL_BEYOND`], the source is `stalled`: it keeps every
 /// flow's entry from then on, as if nothing were pruned.
 #[derive(Default)]
 pub(crate) struct Delivered {
-    /// Consumed seqs: the delivered prefix plus the set above it. Unused
-    /// (and empty) once stalled.
-    window: SeqWindow,
+    /// Every seq below it was consumed.
+    prefix: u64,
+    ooo: Option<Box<OutOfOrder>>,
+}
+
+/// The part of [`Delivered`] a source consumed in seq order never needs.
+#[derive(Default)]
+struct OutOfOrder {
+    /// Seqs consumed above the prefix. Empty once stalled.
+    beyond: BTreeSet<u64>,
     /// Highest delivered seq per tag, for flows at or above the prefix
     /// (every flow once stalled).
     flows: FxMap<Tag, u32>,
     stalled: bool,
 }
 
-impl Delivered {
-    /// Records the delivery of `seq` on flow `tag`; returns whether the
-    /// flow had already delivered a higher seq.
-    pub(crate) fn deliver(&mut self, tag: Tag, seq: u32) -> bool {
-        let late = match self.flows.get_mut(&tag) {
+impl OutOfOrder {
+    fn deliver(&mut self, tag: Tag, seq: u32, at_prefix: bool) -> bool {
+        match self.flows.get_mut(&tag) {
             Some(last) if seq < *last => true,
             Some(last) => {
                 *last = seq;
                 false
             }
             None => {
-                if self.stalled || u64::from(seq) != self.window.cum() {
+                if self.stalled || !at_prefix {
                     self.flows.insert(tag, seq);
                 }
                 false
             }
+        }
+    }
+}
+
+impl Delivered {
+    /// Records the delivery of `seq` on flow `tag`; returns whether the
+    /// flow had already delivered a higher seq.
+    pub(crate) fn deliver(&mut self, tag: Tag, seq: u32) -> bool {
+        let at_prefix = u64::from(seq) == self.prefix;
+        let late = match self.ooo.as_deref_mut() {
+            Some(ooo) => ooo.deliver(tag, seq, at_prefix),
+            // In order with no flow entry: nothing to keep.
+            None if at_prefix => false,
+            None => self.ooo.insert(Box::default()).deliver(tag, seq, at_prefix),
         };
         self.consume(seq);
         late
@@ -448,23 +501,39 @@ impl Delivered {
     /// Records that `seq` was consumed without a delivery being counted
     /// (a parked rendezvous announcement taken by a receive).
     pub(crate) fn consume(&mut self, seq: u32) {
-        if self.stalled {
+        let seq = u64::from(seq);
+        if self.ooo.as_deref().is_some_and(|o| o.stalled) {
             return;
         }
-        let prefix = self.window.cum();
-        let fresh = self.window.insert(u64::from(seq));
-        debug_assert!(fresh, "seq {seq} consumed twice");
-        let cum = self.window.cum();
-        if cum != prefix && !self.flows.is_empty() {
-            self.flows.retain(|_, last| u64::from(*last) >= cum);
-            if self.flows.is_empty() {
-                // `retain` keeps the table: release it.
-                self.flows = FxMap::default();
+        if seq != self.prefix {
+            debug_assert!(seq > self.prefix, "seq {seq} consumed twice");
+            if seq < self.prefix {
+                return;
             }
+            let ooo = self.ooo.get_or_insert_with(Box::default);
+            let fresh = ooo.beyond.insert(seq);
+            debug_assert!(fresh, "seq {seq} consumed twice");
+            if ooo.beyond.len() > STALL_BEYOND {
+                ooo.stalled = true;
+                ooo.beyond = BTreeSet::new();
+            }
+            return;
         }
-        if self.window.beyond_len() > STALL_BEYOND {
-            self.stalled = true;
-            self.window = SeqWindow::default();
+        self.prefix += 1;
+        let Some(ooo) = self.ooo.as_deref_mut() else {
+            return;
+        };
+        while ooo.beyond.remove(&self.prefix) {
+            self.prefix += 1;
+        }
+        let prefix = self.prefix;
+        ooo.flows.retain(|_, last| u64::from(*last) >= prefix);
+        if ooo.beyond.is_empty() && ooo.flows.is_empty() {
+            // Caught up: a source back in order holds no heap.
+            self.ooo = None;
+        } else if ooo.flows.is_empty() {
+            // `retain` keeps the table: release it.
+            ooo.flows = FxMap::default();
         }
     }
 }
@@ -631,9 +700,9 @@ impl NmState {
         }
     }
 
-    /// Registers a posted receive for matching.
-    pub(crate) fn post_recv(&mut self, rec: PostedRecv) {
-        let (src, tag) = (rec.src, rec.tag);
+    /// Registers a receive for `(src, tag)` (`None` = any source) for
+    /// matching.
+    pub(crate) fn post_recv(&mut self, src: Option<NodeId>, tag: Tag, rec: PostedRecv) {
         self.posted.push(src, tag, rec);
     }
 
@@ -955,6 +1024,29 @@ mod tests {
         assert!(w.insert(3));
     }
 
+    #[test]
+    fn from_table_holds_a_small_record_per_source() {
+        // Sources delivering in seq order cost a rank one slot each in
+        // its `from` table: the key, the credit owed, the prefix and an
+        // empty box. The out-of-order set, the flow map and the stall
+        // flag inline made a slot 88 B.
+        assert_eq!(std::mem::size_of::<FromPeer>(), 24);
+        const SOURCES: usize = 64;
+        let mut st = NmState::new(1);
+        for seq in 0..4 {
+            for src in 0..SOURCES {
+                st.note_delivery(nid(src), Tag(seq % 2), seq as u32);
+            }
+        }
+        assert!(st.from.values().all(|f| f.delivered.ooo.is_none()));
+        // 64 sources take a table of 128 slots (key, record and a control
+        // byte each): 66 B per source.
+        let slot = std::mem::size_of::<(NodeId, FromPeer)>() + 1;
+        let buckets = (st.from.capacity() + 1).next_power_of_two();
+        let per_source = buckets * slot / SOURCES;
+        assert!(per_source <= 66, "{per_source} B per source");
+    }
+
     /// The former accounting, kept as the reference: the highest seq
     /// delivered per `(src, tag)` flow, one entry per flow ever seen.
     #[derive(Default)]
@@ -1017,12 +1109,13 @@ mod tests {
             assert!(reference.ooo > 0, "seed {seed}: no reordering exercised");
             for src in 0..SOURCES {
                 let d = &st.from[&nid(src)].delivered;
-                assert_eq!(d.stalled, src == 0, "seed {seed}: source {src}");
+                let stalled = d.ooo.as_deref().is_some_and(|o| o.stalled);
+                assert_eq!(stalled, src == 0, "seed {seed}: source {src}");
                 if src != 0 {
                     // Every seq came: the prefix passed them all and no
-                    // flow entry is left.
-                    assert_eq!(d.window.cum(), u64::from(MSGS));
-                    assert!(d.flows.is_empty(), "seed {seed}: source {src}");
+                    // flow entry (nor the box holding them) is left.
+                    assert_eq!(d.prefix, u64::from(MSGS));
+                    assert!(d.ooo.is_none(), "seed {seed}: source {src}");
                 }
             }
         }

@@ -426,12 +426,14 @@ impl Session {
                 st.push_pack(own, u.src, PackKind::Cts { rdv: u.rdv });
                 Some(reg)
             } else {
-                st.post_recv(PostedRecv {
+                st.post_recv(
                     src,
                     tag,
-                    req: req.clone(),
-                    out: Rc::clone(&out),
-                });
+                    PostedRecv {
+                        req: req.clone(),
+                        out: Rc::clone(&out),
+                    },
+                );
                 None
             }
         };

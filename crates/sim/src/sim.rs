@@ -453,6 +453,39 @@ impl Sim {
         }
     }
 
+    /// Drops every task and event that has not finished: they will never
+    /// run.
+    ///
+    /// Tasks and event closures hold handles back into the simulation, so
+    /// work left unfinished (a cluster built and never run, a run stopped
+    /// by [`Sim::run_until`]) keeps the simulation, and all its tasks
+    /// hold, alive after the last outside handle is gone. Dropping that
+    /// work breaks the cycle. What the drops wake, spawn or schedule is
+    /// discarded too, until nothing is left. The clock and the counters
+    /// keep their values.
+    pub fn discard_pending(&self) {
+        loop {
+            let tasks = std::mem::take(&mut *self.inner.tasks.borrow_mut());
+            self.inner.spawned.borrow_mut().clear();
+            let mut woken = self.inner.drain_scratch.take();
+            self.inner.wakes.drain_into(&mut woken);
+            woken.clear();
+            self.inner.drain_scratch.set(woken);
+            let mut actions = Vec::new();
+            // Popping (not replacing the queue) keeps every outstanding
+            // `TimerHandle` stale rather than aliasing a later event.
+            while let Due::Ready(_, action) = self.inner.events.borrow_mut().pop_due(SimTime::MAX) {
+                actions.push(action);
+            }
+            if tasks.is_empty() && actions.is_empty() {
+                return;
+            }
+            // Dropped outside every borrow: the drops may re-enter the sim.
+            drop(tasks);
+            drop(actions);
+        }
+    }
+
     /// Advances virtual time by `d`, executing everything in between.
     pub fn run_for(&self, d: SimDuration) -> SimTime {
         self.run_until(self.now() + d)

@@ -12,26 +12,31 @@
 //! cost the same bytes whether the cluster has 1 024 or 8 192 of them,
 //! and a ring run must not hold on to what its phases used.
 
+use pioman::PiomReq;
 use pm2_mpi::{Cluster, ClusterConfig, Comm};
 use pm2_newmad::{EngineKind, Tag};
 use pm2_sim::rng::Xoshiro256;
 use pm2_sim::{SimDuration, SimTime};
 use pm2_topo::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// The system allocator with a live-bytes counter in front.
 struct Counting;
 
 // Const-initialised and without destructors, so touching it from inside
-// the allocator can neither allocate nor fail.
+// the allocator can neither allocate nor fail. Signed: a test thread that
+// frees what another thread allocated (the harness hands it its closure)
+// starts below zero, and an unsigned count would wrap there and hide
+// every later peak above its mark.
 thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn grew(bytes: usize) {
-    let live = LIVE.get().wrapping_add(bytes);
+    let live = LIVE.get() + bytes as isize;
     LIVE.set(live);
     if live > PEAK.get() {
         PEAK.set(live);
@@ -39,7 +44,7 @@ fn grew(bytes: usize) {
 }
 
 fn shrank(bytes: usize) {
-    LIVE.set(LIVE.get().wrapping_sub(bytes));
+    LIVE.set(LIVE.get() - bytes as isize);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -95,7 +100,7 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> usize {
     let mark = LIVE.get();
     PEAK.set(mark);
     drop(f());
-    PEAK.get() - mark
+    (PEAK.get() - mark) as usize
 }
 
 /// The paper's fig. 4 program on 2 nodes × 8 cores: 4 thread pairs each
@@ -103,6 +108,13 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> usize {
 /// over seeded sizes from 1 KiB eager to 128 KiB rendezvous, run to
 /// quiescence. Returns the cluster, still alive.
 fn fig4_loop(seed: u64) -> Cluster {
+    let cluster = fig4_cluster(seed);
+    cluster.run_deadline(SimTime::from_secs(60));
+    cluster
+}
+
+/// The fig. 4 cluster with its threads spawned, not yet run.
+fn fig4_cluster(seed: u64) -> Cluster {
     const PAIRS: u64 = 4;
     const ITERS: u64 = 12;
     let cluster = Cluster::build(ClusterConfig {
@@ -142,7 +154,6 @@ fn fig4_loop(seed: u64) -> Cluster {
             });
         }
     }
-    cluster.run_deadline(SimTime::from_secs(60));
     cluster
 }
 
@@ -155,13 +166,42 @@ fn dropped_cluster_frees_every_byte() {
         .map(|seed| {
             let mark = LIVE.get();
             drop(fig4_loop(seed));
-            (seed, LIVE.get().wrapping_sub(mark) as isize)
+            (seed, LIVE.get() - mark)
         })
         .filter(|&(_, bytes)| bytes != 0)
         .collect();
     assert!(
         leaks.is_empty(),
         "(seed, bytes) still live after drop: {leaks:?}"
+    );
+}
+
+#[test]
+fn run_stopped_midway_frees_every_byte() {
+    // Threads blocked in a wait, a rendezvous half done, timers armed:
+    // the unfinished work holds the simulation until the cluster's drop
+    // discards it.
+    drop(fig4_loop(0));
+    let mut leaks = Vec::new();
+    for seed in 1..=8 {
+        for stop_us in [30, 100, 500] {
+            let mark = LIVE.get();
+            let cluster = fig4_cluster(seed);
+            cluster.sim().run_until(SimTime::from_micros(stop_us));
+            assert!(
+                cluster.sim().live_tasks() > 0,
+                "seed {seed}: finished by {stop_us} µs"
+            );
+            drop(cluster);
+            let bytes = LIVE.get() - mark;
+            if bytes != 0 {
+                leaks.push((seed, stop_us, bytes));
+            }
+        }
+    }
+    assert!(
+        leaks.is_empty(),
+        "(seed, stop µs, bytes) still live after drop: {leaks:?}"
     );
 }
 
@@ -184,6 +224,27 @@ fn ring_config(ranks: usize, seed: u64) -> ClusterConfig {
     cfg.cores_per_socket = 2;
     cfg.fabric.jitter_frac = 0.25;
     cfg
+}
+
+#[test]
+fn never_run_cluster_frees_every_byte() {
+    // Building spawns tasks and arms timers that only a run would
+    // finish; they hold the simulation until the drop.
+    let seed = fault_seed();
+    drop(Cluster::build(ring_config(16, seed)));
+    let leaks: Vec<(usize, isize)> = [16, 256, 1024]
+        .into_iter()
+        .map(|ranks| {
+            let mark = LIVE.get();
+            drop(Cluster::build(ring_config(ranks, seed)));
+            (ranks, LIVE.get() - mark)
+        })
+        .filter(|&(_, bytes)| bytes != 0)
+        .collect();
+    assert!(
+        leaks.is_empty(),
+        "(ranks, bytes) still live after drop: {leaks:?}"
+    );
 }
 
 #[test]
@@ -237,12 +298,15 @@ fn ring_peak_heap_per_rank_is_bounded() {
     // turn) or a send counter per tag ever used: with those it is
     // ~28 KB, without ~20 KB. A delivery-order entry per `(src, tag)`
     // flow ever delivered and a cost-model copy per NIC, channel and
-    // registry add another ~3.5 KB.
+    // registry add another ~3.5 KB. An arena slot and a queue per
+    // pending receive, `from` records of 88 B and 80-B plan steps with
+    // a `Vec` of dependencies each add ~2.5 KB more (15.9 KB); without
+    // them it is 13.3 KB at seeds 1, 7 and 42.
     const RANKS: usize = 256;
     let seed = fault_seed();
     drop(ring_run(16, 2, seed));
     let per_rank = peak_of(|| ring_run(RANKS, 60, seed)) / RANKS;
-    assert!(per_rank <= 18 << 10, "ring peak {per_rank} B/rank");
+    assert!(per_rank <= 14 << 10, "ring peak {per_rank} B/rank");
 }
 
 #[test]
@@ -251,9 +315,11 @@ fn ring_at_8192_ranks_stays_under_its_heap_ceiling() {
     // The flyweight-rank target: 16 384 simulated cores in the heap the
     // 1 024-rank ring needed before. With a delivery-order entry per
     // flow ever delivered and per-rank cost-model copies the peak is
-    // ~21.7 KB per rank.
+    // ~21.7 KB per rank; with an arena slot and a queue per pending
+    // receive, 88-B `from` records and 80-B plan steps ~20.1 KB. It is
+    // ~15.7 KB at seeds 1, 7 and 42.
     const RANKS: usize = 8192;
-    const CEILING: usize = 21_000;
+    const CEILING: usize = 16_500;
     let seed = fault_seed();
     drop(ring_run(16, 2, seed));
     let per_rank = peak_of(|| ring_run(RANKS, 4, seed)) / RANKS;
@@ -261,4 +327,55 @@ fn ring_at_8192_ranks_stays_under_its_heap_ceiling() {
         per_rank <= CEILING,
         "ring peak {per_rank} B/rank at {RANKS} ranks (ceiling {CEILING})"
     );
+}
+
+#[test]
+fn pending_directed_irecv_costs_one_map_slot() {
+    // One session posts receives from one peer, a fresh tag each, that
+    // never match. On top of its request handle (the request and its
+    // result cell) a pending receive costs its slot in the match table:
+    // 896 receives fill 1 024 slots of 49 B, 56 B each. An arena slot
+    // and a per-key queue beside the slot made it ~175 B.
+    const N: usize = 896;
+    const BOUND: isize = 64;
+    let cluster = Cluster::build(ring_config(2, fault_seed()));
+    let s = cluster.session(0).clone();
+    let per_recv = Rc::new(Cell::new(None));
+    let out = Rc::clone(&per_recv);
+    cluster.spawn_on(0, "rx", move |ctx| async move {
+        let sim = ctx.marcel().sim().clone();
+        let mut handles = Vec::with_capacity(N);
+        let mark = LIVE.get();
+        for i in 0..N {
+            handles.push(s.irecv(&ctx, Some(NodeId(1)), Tag(i as u64)).await);
+        }
+        let posted = LIVE.get() - mark;
+        let mark = LIVE.get();
+        let bare: Vec<_> = (0..N)
+            .map(|_| {
+                (
+                    PiomReq::new(&sim, "recv"),
+                    Rc::new(RefCell::new(None::<Vec<u8>>)),
+                )
+            })
+            .collect();
+        let handles_only = LIVE.get() - mark - (N * std::mem::size_of_val(&bare[0])) as isize;
+        drop(bare);
+        out.set(Some((posted - handles_only) / N as isize));
+    });
+    cluster.run();
+    let per_recv = per_recv.get().expect("receiver ran");
+    assert!(
+        per_recv <= BOUND,
+        "a pending receive costs {per_recv} B beyond its handle (bound {BOUND})"
+    );
+}
+
+#[test]
+fn plan_steps_stay_small() {
+    // A barrier plan holds two steps per round for the whole collective.
+    // Narrow peer and flow fields and dependencies kept as a range into
+    // one list per plan make a step 56 B; it was 80 B plus a `Vec` per
+    // step with dependencies.
+    assert!(std::mem::size_of::<pm2_coll::Step>() <= 56);
 }
