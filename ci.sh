@@ -62,6 +62,12 @@ done
 for seed in 7 42; do
   PM2_FAULT_SEED=$seed cargo test -q -p pm2-bench --test idle
 done
+# The event queue's differential fuzz (random schedules, cancels and pops
+# against a flat (time, seq) model) draws from the same seeds: every
+# bit-identity check in this script rests on that queue's pop order.
+for seed in 1 7 42; do
+  PM2_FAULT_SEED=$seed cargo test -q --release -p pm2-sim --lib equeue
+done
 # The drop census also runs at the benchmark's second seed, the one its
 # heap figures are quoted at besides 1.
 PM2_FAULT_SEED=20240927 cargo test -q --release -p pm2-bench --test drop

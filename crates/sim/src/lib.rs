@@ -8,7 +8,7 @@
 //! engines are built:
 //!
 //! * a virtual clock in nanoseconds ([`SimTime`], [`SimDuration`]);
-//! * a hierarchical calendar event queue with slab-recycled, inline-stored
+//! * an event queue (one binary heap) with slab-recycled, inline-stored
 //!   events — allocation-free on the steady-state hot path — whose pops
 //!   remain stable (ties broken by insertion sequence, so runs are
 //!   bit-for-bit reproducible);

@@ -87,18 +87,6 @@ impl Xoshiro256 {
             slice.swap(i, j);
         }
     }
-
-    /// Exponentially distributed value with the given mean (for Poisson
-    /// arrival workloads in the benchmark generators).
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.gen_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
 }
 
 struct SplitMix64 {
@@ -174,16 +162,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn gen_exp_positive_with_roughly_right_mean() {
-        let mut r = Xoshiro256::new(13);
-        let n = 20_000;
-        let mean = 5.0;
-        let sum: f64 = (0..n).map(|_| r.gen_exp(mean)).sum();
-        let observed = sum / n as f64;
-        assert!((observed - mean).abs() < 0.3, "observed mean {observed}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The simulation facade: clock, calendar event queue and run loop.
+//! The simulation facade: clock, event queue and run loop.
 
 use crate::equeue::{Due, EventAction, EventQueue};
 use crate::executor::{waker_for, TaskId, TaskSlot, WakeList};

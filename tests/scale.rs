@@ -1,7 +1,7 @@
 //! Scale tests: the DES core and matching layer at hundreds of ranks.
 //!
 //! These pin the two scaling properties this repo's queue work bought:
-//! the calendar event queue keeps 256-rank schedules tractable and
+//! the event queue keeps 256-rank schedules tractable and
 //! deterministic, and arena matching keeps an all-to-all's unexpected
 //! backlog linear in probe work (the old flat-Vec scans were quadratic
 //! here — see `NmCounters::match_probes`).
