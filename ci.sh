@@ -47,8 +47,10 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # one parked core woken per change; no leaked tasks) and drop (a dropped
 # cluster frees every heap byte, whether run to quiescence, stopped
 # midway or never run; heap bytes per rank stay flat from 1 024 to 8 192
-# ranks, a pending receive costs one match-table slot, and a ring run's
-# peak stays within its per-rank bound;
+# ranks; a request is one block of at most 120 B; a pending receive costs
+# its handle, request and one match-table slot, a queued send its handle,
+# request and pack; threads that finish leave no heap behind; and a ring
+# run's peak stays within its per-rank bound;
 # release-only, so it runs here at 1, 7 and 42: a ring on 8 192 ranks
 # stays under its per-rank heap ceiling, ~20 s per seed).
 # The idle suite also runs in debug at seeds 7 and 42 (`cargo test` above

@@ -22,7 +22,7 @@ use crate::tags::{TagAllocator, TagSpace};
 use crate::tuning::CollTuning;
 use pioman::PiomReq;
 use pm2_marcel::{Priority, ThreadCtx};
-use pm2_newmad::{RecvHandle, SendHandle, Session};
+use pm2_newmad::Session;
 use pm2_sim::obs::EventKind;
 use pm2_sim::SimTime;
 use pm2_topo::NodeId;
@@ -201,10 +201,6 @@ impl CollEngine {
     /// Executes a plan: issue every dependency-satisfied step, wait for
     /// any completion, apply it, repeat.
     async fn run_plan(&self, ctx: &ThreadCtx, plan: &Plan, bufs: &mut [Vec<u8>], space: TagSpace) {
-        enum H {
-            S(SendHandle),
-            R(RecvHandle),
-        }
         let n = plan.steps.len();
         if n == 0 {
             return;
@@ -223,7 +219,11 @@ impl CollEngine {
             StepOp::Send(_) => issued[d],
             StepOp::Recv(_) => done[d],
         };
-        let mut inflight: Vec<(usize, H)> = Vec::new();
+        // The steps in flight and their requests, index for index: a
+        // completion is `swap_remove`d from both at the same index, so
+        // `swait_any` sees the requests in `inflight`'s order.
+        let mut inflight: Vec<usize> = Vec::new();
+        let mut reqs: Vec<PiomReq> = Vec::new();
         let mut completed = 0usize;
         while completed < n {
             for i in 0..n {
@@ -245,7 +245,7 @@ impl CollEngine {
                         send: matches!(step.op, StepOp::Send(_)),
                     },
                 );
-                match &step.op {
+                let req = match &step.op {
                     StepOp::Send(src) => {
                         let bytes = materialize(bufs, src);
                         sim.verify().lock_acquire("coll.state");
@@ -261,30 +261,23 @@ impl CollEngine {
                         let h = session
                             .isend(ctx, NodeId(step.peer as usize), tag, bytes)
                             .await;
-                        inflight.push((i, H::S(h)));
+                        h.req().clone()
                     }
                     StepOp::Recv(_) => {
                         let h = session
                             .irecv(ctx, Some(NodeId(step.peer as usize)), tag)
                             .await;
-                        inflight.push((i, H::R(h)));
+                        h.req().clone()
                     }
-                }
-            }
-            let reqs: Vec<PiomReq> = inflight
-                .iter()
-                .map(|(_, h)| match h {
-                    H::S(h) => h.req().clone(),
-                    H::R(h) => h.req().clone(),
-                })
-                .collect();
-            let idx = session.swait_any(&reqs, ctx).await;
-            let (i, h) = inflight.swap_remove(idx);
-            if let H::R(h) = h {
-                let data = h.take_data().expect("completed receive carries data");
-                let StepOp::Recv(dst) = &plan.steps[i].op else {
-                    unreachable!("recv handle on a send step");
                 };
+                inflight.push(i);
+                reqs.push(req);
+            }
+            let idx = session.swait_any(&reqs, ctx).await;
+            let i = inflight.swap_remove(idx);
+            let req = reqs.swap_remove(idx);
+            if let StepOp::Recv(dst) = &plan.steps[i].op {
+                let data = req.take_data().expect("completed receive carries data");
                 ctx.marcel().sim().verify().lock_acquire("coll.state");
                 {
                     let mut c = self.inner.counters.borrow_mut();

@@ -68,7 +68,7 @@ mod req;
 mod server;
 
 pub use config::{LockModel, PiomanConfig};
-pub use req::{PiomReq, ReqError};
+pub use req::{PiomReq, ReqError, ReqRecord};
 pub use server::{
     DriverHealthReport, DriverId, DriverPending, InjectionEndpoint, Pioman, PiomanStats, Progress,
     ProgressDriver,

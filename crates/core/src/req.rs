@@ -2,7 +2,6 @@
 
 use pm2_sim::{obs::EventKind, Sim, SimTime, Trigger};
 use std::cell::Cell;
-use std::rc::Rc;
 
 /// Why a request finished in an error state rather than with its payload.
 ///
@@ -26,62 +25,77 @@ pub enum ReqError {
 /// makes progress inline or blocks on the request's [`Trigger`] — in the
 /// latter case "PIOMAN … unblocks the corresponding thread and asks MARCEL
 /// to schedule it" (§3.2).
+///
+/// The request is its completion trigger: the [`ReqRecord`] rides in the
+/// trigger's allocation, so a pending request is one heap block, result
+/// and first waiter included, and a handle is one pointer.
 #[derive(Clone)]
 pub struct PiomReq {
-    inner: Rc<ReqInner>,
+    trigger: Trigger<ReqRecord>,
 }
 
-struct ReqInner {
+/// What a request knows about itself, carried by its completion trigger.
+pub struct ReqRecord {
     id: u64,
     label: &'static str,
-    trigger: Trigger,
     created_at: SimTime,
-    completed_at: Cell<Option<SimTime>>,
+    /// [`PENDING`] until the request completes.
+    completed_at: Cell<SimTime>,
     error: Cell<Option<ReqError>>,
+    /// A receive's payload, from delivery until the application takes it.
+    data: Cell<Option<Vec<u8>>>,
 }
+
+/// `completed_at` of a request that has not completed.
+const PENDING: SimTime = SimTime::MAX;
 
 impl PiomReq {
     /// Creates a pending request.
     pub fn new(sim: &Sim, label: &'static str) -> Self {
         PiomReq {
-            inner: Rc::new(ReqInner {
+            trigger: Trigger::with_value(ReqRecord {
                 id: sim.obs().next_req_id(),
                 label,
-                trigger: Trigger::new(),
                 created_at: sim.now(),
-                completed_at: Cell::new(None),
+                completed_at: Cell::new(PENDING),
                 error: Cell::new(None),
+                data: Cell::new(None),
             }),
         }
+    }
+
+    fn rec(&self) -> &ReqRecord {
+        self.trigger.value()
     }
 
     /// Simulation-unique request id (allocated at creation; pm2-obs events
     /// reference requests by this id).
     pub fn id(&self) -> u64 {
-        self.inner.id
+        self.rec().id
     }
 
     /// Marks the request complete, waking all waiters. Idempotent.
     pub fn complete(&self, sim: &Sim) {
-        if self.inner.completed_at.get().is_none() {
+        let rec = self.rec();
+        if rec.completed_at.get() == PENDING {
             let now = sim.now();
-            self.inner.completed_at.set(Some(now));
-            let latency_ns = now.saturating_since(self.inner.created_at).as_nanos();
+            rec.completed_at.set(now);
+            let latency_ns = now.saturating_since(rec.created_at).as_nanos();
             sim.obs().emit(
                 now,
                 None,
                 EventKind::ReqComplete {
-                    req: self.inner.id,
+                    req: rec.id,
                     latency_ns,
                 },
             );
-            sim.obs().record_latency(self.inner.label, latency_ns);
+            sim.obs().record_latency(rec.label, latency_ns);
             // pm2-verify: the completion record is the tracked write; the
             // trigger fire is its Release-publish. (is_complete() raw reads
             // model atomic flag loads and stay uninstrumented.)
-            sim.verify().touch_write(self.inner.id);
-            sim.verify().hb_publish(self.inner.id);
-            self.inner.trigger.fire();
+            sim.verify().touch_write(rec.id);
+            sim.verify().hb_publish(rec.id);
+            self.trigger.fire();
         }
     }
 
@@ -91,54 +105,65 @@ impl PiomReq {
     /// be a stale verdict — e.g. an ack that was lost after the payload
     /// was delivered). Idempotent like [`PiomReq::complete`].
     pub fn fail(&self, sim: &Sim, err: ReqError) {
-        if self.inner.completed_at.get().is_none() {
-            self.inner.error.set(Some(err));
+        if !self.is_complete() {
+            self.rec().error.set(Some(err));
             self.complete(sim);
         }
     }
 
     /// The typed error, if the request failed rather than completed.
     pub fn error(&self) -> Option<ReqError> {
-        self.inner.error.get()
+        self.rec().error.get()
     }
 
     /// True once completed (successfully or with an error — check
     /// [`PiomReq::error`] to distinguish).
     pub fn is_complete(&self) -> bool {
-        self.inner.completed_at.get().is_some()
+        self.rec().completed_at.get() != PENDING
+    }
+
+    /// Stores a receive's payload, replacing any not yet taken (the
+    /// library calls this just before [`PiomReq::complete`]).
+    pub fn set_data(&self, data: Vec<u8>) {
+        self.rec().data.set(Some(data));
+    }
+
+    /// Takes the stored payload, if any.
+    pub fn take_data(&self) -> Option<Vec<u8>> {
+        self.rec().data.take()
     }
 
     /// The completion trigger (fires exactly once).
-    pub fn trigger(&self) -> &Trigger {
-        &self.inner.trigger
+    pub fn trigger(&self) -> &Trigger<ReqRecord> {
+        &self.trigger
     }
 
     /// Diagnostic label ("isend", "rdv-rts", …).
     pub fn label(&self) -> &'static str {
-        self.inner.label
+        self.rec().label
     }
 
     /// When the request was posted.
     pub fn created_at(&self) -> SimTime {
-        self.inner.created_at
+        self.rec().created_at
     }
 
     /// When it completed, if it has.
     pub fn completed_at(&self) -> Option<SimTime> {
-        self.inner.completed_at.get()
+        Some(self.rec().completed_at.get()).filter(|&t| t != PENDING)
     }
 
     /// Post-to-completion latency, if completed.
     pub fn latency(&self) -> Option<pm2_sim::SimDuration> {
         self.completed_at()
-            .map(|t| t.saturating_since(self.inner.created_at))
+            .map(|t| t.saturating_since(self.rec().created_at))
     }
 }
 
 impl std::fmt::Debug for PiomReq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PiomReq")
-            .field("label", &self.inner.label)
+            .field("label", &self.label())
             .field("complete", &self.is_complete())
             .finish()
     }
@@ -190,6 +215,18 @@ mod tests {
         req.complete(&sim);
         req.fail(&sim, ReqError::RetriesExhausted);
         assert_eq!(req.error(), None);
+    }
+
+    #[test]
+    fn payload_rides_in_the_request() {
+        let sim = Sim::new(0);
+        let req = PiomReq::new(&sim, "recv");
+        let handle = req.clone();
+        req.set_data(vec![1, 2]);
+        req.complete(&sim);
+        assert_eq!(handle.take_data(), Some(vec![1, 2]));
+        assert_eq!(handle.take_data(), None, "taken once");
+        assert_eq!(std::mem::size_of::<PiomReq>(), std::mem::size_of::<usize>());
     }
 
     #[test]

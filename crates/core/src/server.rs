@@ -1009,8 +1009,7 @@ impl Pioman {
             // leaves every other trigger, so a request that stays pending
             // across many turns holds no waiter of a finished turn.
             let any = Trigger::new();
-            let trigs: Vec<Trigger> = reqs.iter().map(|r| r.trigger().clone()).collect();
-            let first = Trigger::wait_any(&trigs);
+            let first = Trigger::wait_any(reqs.iter().map(PiomReq::trigger));
             let t = any.clone();
             self.inner.sim.spawn(async move {
                 first.await;

@@ -189,7 +189,10 @@ mod tests {
     use pm2_sim::rng::Xoshiro256;
 
     fn t(i: usize) -> ThreadId {
-        ThreadId(i)
+        ThreadId {
+            slot: i as u32,
+            gen: 0,
+        }
     }
 
     #[test]

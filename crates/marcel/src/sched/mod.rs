@@ -38,10 +38,12 @@ pub(crate) enum TState {
     Ready,
     Running(CoreId),
     Blocked,
-    Finished,
 }
 
+/// A live thread; removed from [`State::threads`] when it finishes.
 pub(crate) struct ThreadRec {
+    /// [`ThreadId::gen`] of the thread in this slot.
+    pub(crate) gen: u32,
     pub(crate) state: TState,
     pub(crate) priority: Priority,
     pub(crate) affinity: Option<CoreId>,
@@ -122,6 +124,8 @@ impl Core {
 pub(crate) struct State {
     pub(crate) cores: Vec<Core>,
     pub(crate) threads: Slab<ThreadRec>,
+    /// Threads spawned so far (wrapping): the next [`ThreadId::gen`].
+    pub(crate) spawned: u32,
     pub(crate) tasklets: Slab<TaskletRec>,
     pub(crate) tasklet_queue: VecDeque<TaskletId>,
     pub(crate) runq: RunQueues,
@@ -137,6 +141,18 @@ pub(crate) struct State {
 }
 
 impl State {
+    /// The record of `thread`, or `None` once it finished.
+    pub(crate) fn thread(&self, thread: ThreadId) -> Option<&ThreadRec> {
+        let rec = self.threads.get(thread.slot as usize)?;
+        (rec.gen == thread.gen).then_some(rec)
+    }
+
+    /// Mutable [`State::thread`].
+    pub(crate) fn thread_mut(&mut self, thread: ThreadId) -> Option<&mut ThreadRec> {
+        let rec = self.threads.get_mut(thread.slot as usize)?;
+        (rec.gen == thread.gen).then_some(rec)
+    }
+
     /// True if any enabled tasklet is waiting to run.
     pub(crate) fn tasklet_ready(&self) -> bool {
         self.tasklet_queue.iter().any(|t| {
@@ -201,6 +217,7 @@ impl Marcel {
                 state: RefCell::new(State {
                     cores,
                     threads: Slab::new(),
+                    spawned: 0,
                     tasklets: Slab::new(),
                     tasklet_queue: VecDeque::new(),
                     runq,
@@ -577,7 +594,7 @@ impl Marcel {
                     let mut st = self.inner.state.borrow_mut();
                     st.stats.note_pop(source);
                     st.stats.dispatches += 1;
-                    let rec = st.threads.get_mut(tid.0).expect("queued thread missing");
+                    let rec = st.thread_mut(tid).expect("queued thread missing");
                     debug_assert_eq!(rec.state, TState::Ready);
                     rec.state = TState::Running(core);
                     rec.last_core = Some(core);
@@ -646,9 +663,7 @@ impl Marcel {
     pub(crate) fn wake_dispatch(&self, thread: ThreadId) {
         let waker = {
             let mut st = self.inner.state.borrow_mut();
-            st.threads
-                .get_mut(thread.0)
-                .and_then(|r| r.dispatch_waker.take())
+            st.thread_mut(thread).and_then(|r| r.dispatch_waker.take())
         };
         if let Some(w) = waker {
             w.wake();

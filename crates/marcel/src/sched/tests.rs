@@ -583,6 +583,42 @@ fn join_via_finished_trigger() {
 }
 
 #[test]
+fn finished_thread_frees_its_slot_and_its_id_stays_finished() {
+    let (sim, m) = setup(2);
+    let a = m.spawn("a", Priority::Normal, None, |_| async {});
+    sim.run();
+    assert_eq!(m.live_thread_count(), 0);
+    let gate = Trigger::new();
+    let g = gate.clone();
+    let b = m.spawn("b", Priority::Normal, None, move |ctx| async move {
+        ctx.block_until(&g, false).await;
+    });
+    assert_eq!(a.index(), b.index(), "the freed slot is reused");
+    assert_ne!(a, b);
+    assert!(
+        m.finished(a).is_fired(),
+        "a's id reads as finished, not as b"
+    );
+    assert!(!m.finished(b).is_fired());
+    let joined = Rc::new(Cell::new(None));
+    let j = Rc::clone(&joined);
+    m.spawn("c", Priority::Normal, None, move |ctx| async move {
+        ctx.join(a).await;
+        j.set(Some(ctx.marcel().sim().now().as_nanos()));
+    });
+    m.unpark(a); // no permit lands on b
+    sim.schedule_in(SimDuration::from_micros(3), move |_| gate.fire());
+    sim.run();
+    assert_eq!(
+        joined.get(),
+        Some(0),
+        "joining a finished id returns at once"
+    );
+    assert_eq!(m.live_thread_count(), 0);
+    assert!(m.finished(b).is_fired());
+}
+
+#[test]
 fn stats_track_pop_locality_mix() {
     let (sim, m) = setup(2);
     for _ in 0..4 {

@@ -39,7 +39,10 @@ impl Marcel {
         let name = name.into();
         let id = {
             let mut st = self.inner.state.borrow_mut();
-            let id = ThreadId(st.threads.insert(ThreadRec {
+            let gen = st.spawned;
+            st.spawned = gen.wrapping_add(1);
+            let slot = st.threads.insert(ThreadRec {
+                gen,
                 state: TState::Ready,
                 priority,
                 affinity,
@@ -48,7 +51,11 @@ impl Marcel {
                 finished: Trigger::new(),
                 park_trigger: None,
                 unpark_permit: false,
-            }));
+            });
+            let id = ThreadId {
+                slot: u32::try_from(slot).expect("fewer than 2^32 live threads"),
+                gen,
+            };
             let placement = self.placement(&st.runq, affinity, None, false);
             st.runq.push(id, prio_idx(priority), placement);
             id
@@ -101,23 +108,23 @@ impl Marcel {
         }
     }
 
-    /// Trigger fired when `thread` finishes.
+    /// Trigger fired when `thread` finishes (already fired if it has).
     pub fn finished(&self, thread: ThreadId) -> Trigger {
-        self.inner
-            .state
-            .borrow()
-            .threads
-            .get(thread.0)
-            .expect("unknown thread")
-            .finished
-            .clone()
+        match self.inner.state.borrow().thread(thread) {
+            Some(rec) => rec.finished.clone(),
+            None => {
+                let done = Trigger::new();
+                done.fire();
+                done
+            }
+        }
     }
 
     /// Wakes a parked thread (or stores a permit if it is not parked).
     pub fn unpark(&self, thread: ThreadId) {
         let trig = {
             let mut st = self.inner.state.borrow_mut();
-            let Some(rec) = st.threads.get_mut(thread.0) else {
+            let Some(rec) = st.thread_mut(thread) else {
                 return;
             };
             match rec.park_trigger.take() {
@@ -135,7 +142,7 @@ impl Marcel {
 
     pub(crate) fn begin_park(&self, thread: ThreadId) -> Option<Trigger> {
         let mut st = self.inner.state.borrow_mut();
-        let rec = st.threads.get_mut(thread.0).expect("unknown thread");
+        let rec = st.thread_mut(thread).expect("unknown thread");
         if rec.unpark_permit {
             rec.unpark_permit = false;
             None
@@ -148,25 +155,20 @@ impl Marcel {
 
     pub(crate) fn is_running(&self, thread: ThreadId) -> bool {
         matches!(
-            self.inner
-                .state
-                .borrow()
-                .threads
-                .get(thread.0)
-                .map(|r| r.state),
+            self.inner.state.borrow().thread(thread).map(|r| r.state),
             Some(TState::Running(_))
         )
     }
 
     pub(crate) fn core_of(&self, thread: ThreadId) -> Option<CoreId> {
-        match self.inner.state.borrow().threads.get(thread.0)?.state {
+        match self.inner.state.borrow().thread(thread)?.state {
             TState::Running(c) => Some(c),
             _ => None,
         }
     }
 
     pub(crate) fn set_dispatch_waker(&self, thread: ThreadId, waker: Waker) {
-        if let Some(rec) = self.inner.state.borrow_mut().threads.get_mut(thread.0) {
+        if let Some(rec) = self.inner.state.borrow_mut().thread_mut(thread) {
             rec.dispatch_waker = Some(waker);
         }
     }
@@ -184,7 +186,7 @@ impl Marcel {
     fn release_core_of(&self, thread: ThreadId, new_state: TState, requeue: bool) {
         let freed = {
             let mut st = self.inner.state.borrow_mut();
-            let rec = st.threads.get_mut(thread.0).expect("unknown thread");
+            let rec = st.thread_mut(thread).expect("unknown thread");
             let TState::Running(core) = rec.state else {
                 panic!("thread {thread:?} released while not running");
             };
@@ -212,7 +214,7 @@ impl Marcel {
     pub(crate) fn make_ready(&self, thread: ThreadId, urgent: bool) {
         let (affinity, last_core) = {
             let mut st = self.inner.state.borrow_mut();
-            let rec = st.threads.get_mut(thread.0).expect("unknown thread");
+            let rec = st.thread_mut(thread).expect("unknown thread");
             debug_assert_eq!(rec.state, TState::Blocked);
             rec.state = TState::Ready;
             let (affinity, last_core) = (rec.affinity, rec.last_core);
@@ -225,16 +227,21 @@ impl Marcel {
         self.kick_for(affinity, last_core);
     }
 
+    /// Frees `thread`'s record (its id reads as finished from now on)
+    /// and fires its `finished` trigger.
     pub(crate) fn finish_thread(&self, thread: ThreadId) {
         let (core, finished) = {
             let mut st = self.inner.state.borrow_mut();
-            let rec = st.threads.get_mut(thread.0).expect("unknown thread");
+            assert!(st.thread(thread).is_some(), "unknown thread");
+            let rec = st
+                .threads
+                .remove(thread.slot as usize)
+                .expect("checked just above");
             let core = match rec.state {
                 TState::Running(c) => Some(c),
                 _ => None,
             };
-            rec.state = TState::Finished;
-            let finished = rec.finished.clone();
+            let finished = rec.finished;
             if let Some(c) = core {
                 let local = self.inner.topo.local_index(c);
                 st.cores[local].current = None;
@@ -273,12 +280,6 @@ impl Marcel {
 
     /// Number of threads not yet finished.
     pub fn live_thread_count(&self) -> usize {
-        self.inner
-            .state
-            .borrow()
-            .threads
-            .iter()
-            .filter(|(_, r)| r.state != TState::Finished)
-            .count()
+        self.inner.state.borrow().threads.len()
     }
 }

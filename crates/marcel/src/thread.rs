@@ -20,14 +20,22 @@ pub enum Priority {
     High,
 }
 
-/// Identifier of a Marcel thread.
+/// Identifier of a Marcel thread: its slot in the scheduler's thread
+/// table and the scheduler's spawn count when it was spawned.
+///
+/// A finished thread's slot is freed and reused; an id whose spawn count
+/// no longer matches its slot's reads as finished, never as the slot's
+/// new thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ThreadId(pub(crate) usize);
+pub struct ThreadId {
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
+}
 
 impl ThreadId {
-    /// Raw index, for diagnostics.
+    /// Raw slot index, for diagnostics (reused once the thread finishes).
     pub fn index(self) -> usize {
-        self.0
+        self.slot as usize
     }
 }
 
@@ -90,7 +98,7 @@ impl ThreadCtx {
     /// Returns immediately (without releasing the core) if the trigger has
     /// already fired — the check-then-block sequence is atomic because the
     /// simulator is event-driven.
-    pub async fn block_until(&self, trigger: &Trigger, urgent: bool) {
+    pub async fn block_until<T>(&self, trigger: &Trigger<T>, urgent: bool) {
         if trigger.is_fired() {
             return;
         }

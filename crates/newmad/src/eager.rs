@@ -36,18 +36,18 @@ impl Session {
                 let wire = crate::msg::EAGER_HEADER_BYTES + part.data.len();
                 self.credit_freed(&mut st, src, wire);
                 drop(st);
-                *posted.out.borrow_mut() = Some(part.data);
+                posted.set_data(part.data);
                 self.inner.sim.obs().emit(
                     self.inner.sim.now(),
                     Some(self.inner.node.0),
                     EventKind::EagerDeliver {
-                        req: posted.req.id(),
+                        req: posted.id(),
                         src: src.0,
                         tag: part.tag.0,
                         unexpected: false,
                     },
                 );
-                posted.req.complete(&self.inner.sim);
+                posted.complete(&self.inner.sim);
                 SimDuration::ZERO
             }
             None => {
@@ -71,18 +71,18 @@ impl Session {
                 st.note_delivery(own, msg.tag, msg.seq);
                 drop(st);
                 let cost = self.inner.shm.copy_cost(msg.data.len());
-                *posted.out.borrow_mut() = Some(msg.data);
+                posted.set_data(msg.data);
                 self.inner.sim.obs().emit(
                     self.inner.sim.now(),
                     Some(own.0),
                     EventKind::EagerDeliver {
-                        req: posted.req.id(),
+                        req: posted.id(),
                         src: own.0,
                         tag: msg.tag.0,
                         unexpected: false,
                     },
                 );
-                posted.req.complete(&self.inner.sim);
+                posted.complete(&self.inner.sim);
                 cost
             }
             None => {

@@ -1,8 +1,6 @@
 //! Application-facing request handles returned by `isend`/`irecv`.
 
 use pioman::PiomReq;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Handle of an asynchronous send.
 #[derive(Clone, Debug)]
@@ -25,7 +23,6 @@ impl SendHandle {
 #[derive(Clone, Debug)]
 pub struct RecvHandle {
     pub(crate) req: PiomReq,
-    pub(crate) out: Rc<RefCell<Option<Vec<u8>>>>,
 }
 
 impl RecvHandle {
@@ -39,6 +36,6 @@ impl RecvHandle {
     }
     /// Takes the received payload (after completion).
     pub fn take_data(&self) -> Option<Vec<u8>> {
-        self.out.borrow_mut().take()
+        self.req.take_data()
     }
 }

@@ -39,19 +39,10 @@ use crate::strategy::{Pack, PackKind};
 use pioman::PiomReq;
 use pm2_sim::Slab;
 use pm2_topo::NodeId;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::rc::Rc;
 
 use crate::msg::Tag;
-
-/// A receive posted by the application, waiting for a match (its source
-/// and tag are its key in the [`PostedTable`]).
-pub(crate) struct PostedRecv {
-    pub(crate) req: PiomReq,
-    pub(crate) out: Rc<RefCell<Option<Vec<u8>>>>,
-}
 
 /// An eager message that arrived before its receive was posted (§2.2's
 /// unexpected path: it sits in the library pool until matched).
@@ -125,10 +116,12 @@ fn sweep_if_bloated<K: Eq + std::hash::Hash, V>(
 
 /// One key's pending receives in posting order, each with its stamp: the
 /// first inline, a queue only once a second one is pending. A queue is
-/// never empty: the key is removed with its last entry.
+/// never empty: the key is removed with its last entry. The queue is
+/// boxed so that the common single entry sets the map slot's size.
 enum Pending<T> {
     One(u64, T),
-    Many(VecDeque<(u64, T)>),
+    #[allow(clippy::box_collection)]
+    Many(Box<VecDeque<(u64, T)>>),
 }
 
 impl<T> Pending<T> {
@@ -140,16 +133,19 @@ impl<T> Pending<T> {
     }
 
     fn push(&mut self, stamp: u64, value: T) {
-        let mut queue = match std::mem::replace(self, Pending::Many(VecDeque::new())) {
-            Pending::One(first, v) => {
-                let mut queue = VecDeque::with_capacity(2);
-                queue.push_back((first, v));
-                queue
+        match self {
+            Pending::Many(queue) => queue.push_back((stamp, value)),
+            Pending::One(..) => {
+                let mut queue = Box::new(VecDeque::with_capacity(2));
+                queue.push_back((stamp, value));
+                // The inline entry goes in front of the new one.
+                if let (Pending::One(first, v), Pending::Many(queue)) =
+                    (std::mem::replace(self, Pending::Many(queue)), self)
+                {
+                    queue.push_front((first, v));
+                }
             }
-            Pending::Many(queue) => queue,
-        };
-        queue.push_back((stamp, value));
-        *self = Pending::Many(queue);
+        }
     }
 }
 
@@ -622,7 +618,10 @@ pub(crate) struct NmState {
     pub(crate) shm_packs: VecDeque<Pack>,
     /// Global enqueue stamp shared by both lists (see [`Pack::seq`]).
     pub(crate) pack_seq: u64,
-    pub(crate) posted: PostedTable<PostedRecv>,
+    /// Receives posted by the application, waiting for a match: each is
+    /// its request (its source and tag are its key; the payload goes into
+    /// the request's record).
+    pub(crate) posted: PostedTable<PiomReq>,
     pub(crate) unexpected: ArrivalPool<UnexpectedMsg>,
     /// Sender side, per destination: message seqs and credits.
     pub(crate) to: FxMap<NodeId, ToPeer>,
@@ -702,16 +701,16 @@ impl NmState {
 
     /// Registers a receive for `(src, tag)` (`None` = any source) for
     /// matching.
-    pub(crate) fn post_recv(&mut self, src: Option<NodeId>, tag: Tag, rec: PostedRecv) {
-        self.posted.push(src, tag, rec);
+    pub(crate) fn post_recv(&mut self, src: Option<NodeId>, tag: Tag, req: PiomReq) {
+        self.posted.push(src, tag, req);
     }
 
     /// Takes the first posted receive matching a message from `(src,
     /// tag)`, exactly as the former front-to-back scan would have.
-    pub(crate) fn take_posted(&mut self, src: NodeId, tag: Tag) -> Option<PostedRecv> {
-        let (rec, probes) = self.posted.take(src, tag);
+    pub(crate) fn take_posted(&mut self, src: NodeId, tag: Tag) -> Option<PiomReq> {
+        let (req, probes) = self.posted.take(src, tag);
         self.counters.match_probes += probes;
-        rec
+        req
     }
 
     /// Parks an eager message that arrived before its receive.

@@ -10,8 +10,6 @@ use pioman::PiomReq;
 use pm2_sim::obs::EventKind;
 use pm2_sim::SimDuration;
 use pm2_topo::NodeId;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Sender-side record of an in-flight rendezvous (RTS sent, payload
 /// parked until the CTS arrives).
@@ -27,7 +25,6 @@ pub(crate) struct RdvSend {
 /// being assembled).
 pub(crate) struct RdvRecv {
     pub(crate) req: PiomReq,
-    pub(crate) out: Rc<RefCell<Option<Vec<u8>>>>,
     pub(crate) chunks: Vec<Option<Vec<u8>>>,
     pub(crate) received: u32,
 }
@@ -70,8 +67,7 @@ impl Session {
                 st.rdv().recvs.insert(
                     (src, rdv),
                     RdvRecv {
-                        req: posted.req,
-                        out: posted.out,
+                        req: posted,
                         chunks: Vec::new(),
                         received: 0,
                     },
@@ -225,7 +221,7 @@ impl Session {
                 // lint-allow: received == chunks ⇒ every slot filled
                 assembled.extend_from_slice(&c.expect("all chunks received"));
             }
-            *recv.out.borrow_mut() = Some(assembled);
+            recv.req.set_data(assembled);
             self.inner.sim.obs().emit(
                 self.inner.sim.now(),
                 Some(self.inner.node.0),

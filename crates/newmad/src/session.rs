@@ -9,7 +9,7 @@
 
 use crate::config::{EngineKind, NmCounters, OffloadPolicy, SessionConfig};
 use crate::handles::{RecvHandle, SendHandle};
-use crate::matching::{NmState, PostedRecv, RdvState, RmaState};
+use crate::matching::{NmState, RdvState, RmaState};
 use crate::msg::{EagerPart, ShmMsg, Tag, WireMsg};
 use crate::progress::{RailDriver, ShmDriver};
 use crate::rendezvous::{RdvRecv, RdvSend};
@@ -383,7 +383,6 @@ impl Session {
                 tag: tag.0,
             },
         );
-        let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
         // Unexpected eager message already here? Copy it out (the §2.2
         // unexpected path: one extra copy).
         let own = self.inner.node;
@@ -398,7 +397,7 @@ impl Session {
                 let wire = crate::msg::EAGER_HEADER_BYTES + u.data.len();
                 let src_node = u.src;
                 let cost = self.inner.rails[0].params().memcpy_cost(u.data.len());
-                *out.borrow_mut() = Some(u.data);
+                req.set_data(u.data);
                 self.credit_freed(&mut st, src_node, wire);
                 self.inner.sim.obs().emit(
                     self.inner.sim.now(),
@@ -410,7 +409,7 @@ impl Session {
                         unexpected: true,
                     },
                 );
-                Some(cost)
+                Some((cost, true))
             } else if let Some(u) = st.take_rts(src, tag) {
                 // A rendezvous was waiting for us: answer it.
                 let reg = self.inner.registry.register(tag.0 | 1 << 63, u.len);
@@ -418,22 +417,14 @@ impl Session {
                     (u.src, u.rdv),
                     RdvRecv {
                         req: req.clone(),
-                        out: Rc::clone(&out),
                         chunks: Vec::new(),
                         received: 0,
                     },
                 );
                 st.push_pack(own, u.src, PackKind::Cts { rdv: u.rdv });
-                Some(reg)
+                Some((reg, false))
             } else {
-                st.post_recv(
-                    src,
-                    tag,
-                    PostedRecv {
-                        req: req.clone(),
-                        out: Rc::clone(&out),
-                    },
-                );
+                st.post_recv(src, tag, req.clone());
                 None
             }
         };
@@ -441,11 +432,11 @@ impl Session {
         verify.set_node(vnode);
         self.wake_parked();
         match copy_cost {
-            Some(cost) => {
+            Some((cost, copied)) => {
                 ctx.compute(cost).await;
                 // Eager unexpected: completed by the copy itself.
                 // Rendezvous: completes when the data lands.
-                if out.borrow().is_some() {
+                if copied {
                     req.complete(&self.inner.sim);
                 }
                 // Either way there may be new work (CTS or credit-return
@@ -458,7 +449,7 @@ impl Session {
                 self.notify_work(ctx);
             }
         }
-        RecvHandle { req, out }
+        RecvHandle { req }
     }
 
     /// Waits for a request from thread `ctx`, engine-dependently.

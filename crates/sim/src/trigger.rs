@@ -1,16 +1,19 @@
 //! The one-shot completion flag simulated activities wait on.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-/// A one-shot, multi-waiter event flag.
+/// A one-shot, multi-waiter event flag, carrying a value `T` in the same
+/// allocation.
 ///
 /// This is the simulated counterpart of a completion: PIOMAN fires the
 /// trigger when a request completes; any number of activities awaiting
-/// [`Trigger::wait`] resume at the same virtual instant.
+/// [`Trigger::wait`] resume at the same virtual instant. The value is
+/// what the flag is about (PIOMAN keeps its request record there), so a
+/// request and its completion cost one heap block between them.
 ///
 /// # Example
 /// ```
@@ -28,49 +31,131 @@ use std::task::{Context, Poll, Waker};
 /// sim.run();
 /// assert!(done.is_fired());
 /// ```
-#[derive(Clone, Default)]
-pub struct Trigger {
-    state: Rc<RefCell<TriggerState>>,
+pub struct Trigger<T = ()> {
+    shared: Rc<Shared<T>>,
 }
 
+/// The one allocation behind a trigger and its clones. Plain `Cell`s
+/// rather than a `RefCell`: no borrow outlives a method, and a borrow
+/// flag would cost another word per request.
+struct Shared<T> {
+    fired: Cell<bool>,
+    waiters: Cell<Waiters>,
+    value: T,
+}
+
+/// Wakers registered with a trigger, woken in registration order: the
+/// first inline, later ones in a spill list that exists only while two
+/// or more wait. `first` is empty only when `rest` is, so a new waker
+/// always goes after every waker already registered.
 #[derive(Default)]
-struct TriggerState {
-    fired: bool,
-    waiters: Vec<Waker>,
+struct Waiters {
+    first: Option<Waker>,
+    // Boxed so that the rare spill list costs one word in every trigger
+    // (a bare `Vec` is three, and would push a request block past 120 B).
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<Vec<Waker>>>,
+}
+
+impl Waiters {
+    fn iter(&self) -> impl Iterator<Item = &Waker> {
+        self.first
+            .iter()
+            .chain(self.rest.iter().flat_map(|r| r.iter()))
+    }
+
+    /// Appends `w` unless a waker that wakes the same task is already
+    /// registered (a stale clone is not piled up).
+    fn push(&mut self, w: &Waker) {
+        if self.iter().any(|x| x.will_wake(w)) {
+            return;
+        }
+        if self.first.is_none() {
+            self.first = Some(w.clone());
+        } else {
+            self.rest.get_or_insert_default().push(w.clone());
+        }
+    }
+
+    /// Removes every waker that wakes the same task as `w`, keeping the
+    /// others in order: the spill list's head moves inline if the inline
+    /// waker goes.
+    fn remove(&mut self, w: &Waker) {
+        if self.first.as_ref().is_some_and(|f| f.will_wake(w)) {
+            self.first = None;
+        }
+        if let Some(rest) = &mut self.rest {
+            rest.retain(|x| !x.will_wake(w));
+            if self.first.is_none() && !rest.is_empty() {
+                self.first = Some(rest.remove(0));
+            }
+            if rest.is_empty() {
+                self.rest = None;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.as_ref().map_or(0, |r| r.len())
+    }
+}
+
+impl<T> Shared<T> {
+    /// Runs `f` on the waiter list (taken out of its cell for the call).
+    fn with_waiters<R>(&self, f: impl FnOnce(&mut Waiters) -> R) -> R {
+        let mut w = self.waiters.take();
+        let r = f(&mut w);
+        self.waiters.set(w);
+        r
+    }
 }
 
 impl Trigger {
     /// Creates an unfired trigger.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_value(())
+    }
+}
+
+impl<T> Trigger<T> {
+    /// Creates an unfired trigger carrying `value`.
+    pub fn with_value(value: T) -> Self {
+        Trigger {
+            shared: Rc::new(Shared {
+                fired: Cell::new(false),
+                waiters: Cell::default(),
+                value,
+            }),
+        }
     }
 
-    /// Fires the trigger, waking all current and future waiters.
-    /// Idempotent.
+    /// The value the trigger carries.
+    pub fn value(&self) -> &T {
+        &self.shared.value
+    }
+
+    /// Fires the trigger, waking all current and future waiters in the
+    /// order they registered. Idempotent.
     pub fn fire(&self) {
-        let waiters = {
-            let mut st = self.state.borrow_mut();
-            if st.fired {
-                return;
-            }
-            st.fired = true;
-            std::mem::take(&mut st.waiters)
-        };
-        for w in waiters {
+        if self.shared.fired.replace(true) {
+            return;
+        }
+        let Waiters { first, rest } = self.shared.waiters.take();
+        for w in first.into_iter().chain(rest.into_iter().flat_map(|r| *r)) {
             w.wake();
         }
     }
 
     /// True once [`Trigger::fire`] has been called.
     pub fn is_fired(&self) -> bool {
-        self.state.borrow().fired
+        self.shared.fired.get()
     }
 
     /// A future resolving when the trigger fires (immediately if already
     /// fired).
-    pub fn wait(&self) -> TriggerWait {
+    pub fn wait(&self) -> TriggerWait<T> {
         TriggerWait {
-            state: Rc::clone(&self.state),
+            shared: Rc::clone(&self.shared),
         }
     }
 
@@ -99,9 +184,12 @@ impl Trigger {
     /// sim.run();
     /// assert_eq!(sim.live_tasks(), 0);
     /// ```
-    pub fn wait_any(sources: &[Trigger]) -> AnyWait {
+    pub fn wait_any<'a>(sources: impl IntoIterator<Item = &'a Trigger<T>>) -> AnyWait<T>
+    where
+        T: 'a,
+    {
         AnyWait {
-            sources: sources.iter().map(|t| Rc::clone(&t.state)).collect(),
+            sources: sources.into_iter().map(|t| Rc::clone(&t.shared)).collect(),
             waker: None,
         }
     }
@@ -109,11 +197,25 @@ impl Trigger {
     /// Wakers currently registered with this trigger (a leak diagnostic:
     /// a finished wait must leave none behind).
     pub fn waiter_count(&self) -> usize {
-        self.state.borrow().waiters.len()
+        self.shared.with_waiters(|w| w.len())
     }
 }
 
-impl std::fmt::Debug for Trigger {
+impl<T> Clone for Trigger<T> {
+    fn clone(&self) -> Self {
+        Trigger {
+            shared: Rc::clone(&self.shared),
+        }
+    }
+}
+
+impl<T: Default> Default for Trigger<T> {
+    fn default() -> Self {
+        Self::with_value(T::default())
+    }
+}
+
+impl<T> std::fmt::Debug for Trigger<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trigger")
             .field("fired", &self.is_fired())
@@ -122,48 +224,44 @@ impl std::fmt::Debug for Trigger {
 }
 
 /// Future returned by [`Trigger::wait`].
-pub struct TriggerWait {
-    state: Rc<RefCell<TriggerState>>,
+pub struct TriggerWait<T = ()> {
+    shared: Rc<Shared<T>>,
 }
 
-impl Future for TriggerWait {
+impl<T> Future for TriggerWait<T> {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.state.borrow_mut();
-        if st.fired {
+        if self.shared.fired.get() {
             Poll::Ready(())
         } else {
-            // Replace a stale clone of the same waker rather than pile up.
-            if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
-                st.waiters.push(cx.waker().clone());
-            }
+            self.shared.with_waiters(|w| w.push(cx.waker()));
             Poll::Pending
         }
     }
 }
 
 /// Future returned by [`Trigger::wait_any`].
-pub struct AnyWait {
-    sources: Vec<Rc<RefCell<TriggerState>>>,
+pub struct AnyWait<T = ()> {
+    sources: Vec<Rc<Shared<T>>>,
     /// The waker registered with the unfired sources, if any.
     waker: Option<Waker>,
 }
 
-impl AnyWait {
+impl<T> AnyWait<T> {
     /// Removes the registered waker from every source still holding it.
     fn deregister(&mut self) {
         if let Some(w) = self.waker.take() {
             for s in &self.sources {
-                s.borrow_mut().waiters.retain(|x| !x.will_wake(&w));
+                s.with_waiters(|ws| ws.remove(&w));
             }
         }
     }
 }
 
-impl Future for AnyWait {
+impl<T> Future for AnyWait<T> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.sources.iter().any(|s| s.borrow().fired) {
+        if self.sources.iter().any(|s| s.fired.get()) {
             return Poll::Ready(());
         }
         if self
@@ -174,17 +272,14 @@ impl Future for AnyWait {
             self.deregister();
         }
         for s in &self.sources {
-            let mut st = s.borrow_mut();
-            if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
-                st.waiters.push(cx.waker().clone());
-            }
+            s.with_waiters(|w| w.push(cx.waker()));
         }
         self.waker = Some(cx.waker().clone());
         Poll::Pending
     }
 }
 
-impl Drop for AnyWait {
+impl<T> Drop for AnyWait<T> {
     fn drop(&mut self) {
         self.deregister();
     }
@@ -194,7 +289,7 @@ impl Drop for AnyWait {
 mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::future::poll_fn;
 
     #[test]
@@ -312,5 +407,92 @@ mod tests {
         sim.run();
         assert_eq!(seen.get(), (false, 2), "pending, one waker per source");
         assert_eq!(srcs[0].waiter_count() + srcs[1].waiter_count(), 0);
+    }
+
+    /// Spawns `n` tasks that wait on one trigger in index order and
+    /// fires it at 4 ns; returns the order they woke in and the trigger's
+    /// waiter count at 1, 2 and 4 ns and after the run. Task `dropped`,
+    /// if any, first waits through a `wait_any` over the trigger and a
+    /// kick fired at 1 ns, which resolves and drops it; it re-registers
+    /// with a plain wait at 3 ns.
+    fn wake_order(n: usize, dropped: Option<usize>) -> (Vec<usize>, Vec<usize>) {
+        let sim = Sim::new(0);
+        let (trig, kick) = (Trigger::new(), Trigger::new());
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..n {
+            let (t, k, o, sim2) = (trig.clone(), kick.clone(), Rc::clone(&order), sim.clone());
+            sim.spawn(async move {
+                if Some(i) == dropped {
+                    Trigger::wait_any([&t, &k]).await;
+                    sim2.sleep(SimDuration::from_nanos(2)).await;
+                }
+                t.wait().await;
+                o.borrow_mut().push(i);
+            });
+        }
+        let counts = Rc::new(RefCell::new(Vec::new()));
+        for ns in [1, 2, 4] {
+            let (t, k, c) = (trig.clone(), kick.clone(), Rc::clone(&counts));
+            sim.schedule_in(SimDuration::from_nanos(ns), move |_| {
+                c.borrow_mut().push(t.waiter_count());
+                match ns {
+                    1 => k.fire(),
+                    4 => t.fire(),
+                    _ => {}
+                }
+            });
+        }
+        sim.run();
+        counts.borrow_mut().push(trig.waiter_count());
+        assert_eq!(sim.live_tasks(), 0);
+        let order = order.borrow().clone();
+        let counts = counts.borrow().clone();
+        (order, counts)
+    }
+
+    #[test]
+    fn fire_wakes_in_registration_order() {
+        for n in 0..=3 {
+            let (order, counts) = wake_order(n, None);
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "{n} waiters");
+            assert_eq!(counts, [n, n, n, 0], "{n} waiters");
+        }
+    }
+
+    #[test]
+    fn dropped_wait_keeps_the_rest_in_order_and_rearms_last() {
+        // The dropped waker inline (first), in the middle of the spill
+        // list, and last.
+        for (n, dropped) in [(1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (3, 2)] {
+            let (order, counts) = wake_order(n, Some(dropped));
+            let mut expect: Vec<usize> = (0..n).filter(|&i| i != dropped).collect();
+            expect.push(dropped);
+            assert_eq!(order, expect, "{n} waiters, #{dropped} dropped");
+            assert_eq!(counts, [n, n - 1, n, 0], "{n} waiters, #{dropped} dropped");
+        }
+    }
+
+    #[test]
+    fn repolled_waits_register_the_task_once() {
+        let sim = Sim::new(0);
+        let (trig, other) = (Trigger::new(), Trigger::new());
+        let seen = Rc::new(Cell::new(0));
+        let (t, o, s2) = (trig.clone(), other.clone(), Rc::clone(&seen));
+        sim.spawn(async move {
+            let mut wait = Box::pin(t.wait());
+            let mut any = Box::pin(Trigger::wait_any([&t, &o]));
+            for _ in 0..3 {
+                poll_fn(|cx| {
+                    assert!(wait.as_mut().poll(cx).is_pending());
+                    assert!(any.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+            }
+            s2.set(t.waiter_count() + o.waiter_count());
+        });
+        sim.run();
+        assert_eq!(seen.get(), 2, "one waker per trigger, however often polled");
+        assert_eq!(trig.waiter_count() + other.waiter_count(), 0);
     }
 }
