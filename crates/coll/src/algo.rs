@@ -550,7 +550,7 @@ mod tests {
                     if !plans[rank].deps(i).all(|d| done[rank][d]) {
                         continue;
                     }
-                    match &step.op {
+                    match plans[rank].op(i) {
                         StepOp::Send(src) => {
                             let bytes = materialize(&bufs[rank], src);
                             mailbox

@@ -27,6 +27,7 @@ use pm2_sim::obs::EventKind;
 use pm2_sim::SimTime;
 use pm2_topo::NodeId;
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 /// Cumulative per-rank collective counters (NmCounters-style snapshot).
@@ -59,7 +60,8 @@ struct EngineInner {
     rank: usize,
     ranks: usize,
     tags: TagAllocator,
-    tuning: CollTuning,
+    /// Shared by every rank of a cluster.
+    tuning: Rc<CollTuning>,
     counters: RefCell<CollCounters>,
 }
 
@@ -72,7 +74,15 @@ pub struct CollEngine {
 
 impl CollEngine {
     /// Builds the engine for `rank` of `ranks` over `session`.
-    pub fn new(session: Session, rank: usize, ranks: usize, tuning: CollTuning) -> CollEngine {
+    ///
+    /// `tuning` is a tuning or an `Rc` of one that every rank shares.
+    pub fn new(
+        session: Session,
+        rank: usize,
+        ranks: usize,
+        tuning: impl Into<Rc<CollTuning>>,
+    ) -> CollEngine {
+        let tuning = tuning.into();
         CollEngine {
             inner: Rc::new(EngineInner {
                 session,
@@ -134,21 +144,27 @@ impl CollEngine {
     /// `bufs` follows the slot convention of [`CollKind`]; `len` is the
     /// uniform payload length (selection and ring segmentation input);
     /// `force` bypasses auto-selection.
-    pub async fn coll(
-        &self,
-        ctx: &ThreadCtx,
+    ///
+    /// The run is boxed, one allocation per collective: its executor
+    /// state would otherwise sit inside the caller's future, and the
+    /// caller's thread, for the thread's whole life.
+    pub fn coll<'a>(
+        &'a self,
+        ctx: &'a ThreadCtx,
         kind: CollKind,
         len: usize,
         mut bufs: Vec<Vec<u8>>,
         force: Option<AlgoKind>,
-    ) -> Vec<Vec<u8>> {
-        let (plan, space) = self.prepare(kind, len, force);
-        self.run_plan(ctx, &plan, &mut bufs, space).await;
-        let verify = ctx.marcel().sim().verify();
-        verify.lock_acquire("coll.state");
-        self.inner.counters.borrow_mut().collectives += 1;
-        verify.lock_release("coll.state");
-        bufs
+    ) -> impl Future<Output = Vec<Vec<u8>>> + 'a {
+        Box::pin(async move {
+            let (plan, space) = self.prepare(kind, len, force);
+            self.run_plan(ctx, &plan, &mut bufs, space).await;
+            let verify = ctx.marcel().sim().verify();
+            verify.lock_acquire("coll.state");
+            self.inner.counters.borrow_mut().collectives += 1;
+            verify.lock_release("coll.state");
+            bufs
+        })
     }
 
     /// Starts one collective nonblockingly: a dedicated Marcel thread
@@ -200,99 +216,116 @@ impl CollEngine {
 
     /// Executes a plan: issue every dependency-satisfied step, wait for
     /// any completion, apply it, repeat.
-    async fn run_plan(&self, ctx: &ThreadCtx, plan: &Plan, bufs: &mut [Vec<u8>], space: TagSpace) {
-        let n = plan.steps.len();
-        if n == 0 {
-            return;
-        }
-        let session = &self.inner.session;
-        // A dependency on a *send* step is satisfied at issue time: the
-        // payload is materialized (copied out of the slot) when the send
-        // is submitted, so a WAR successor may overwrite the slot right
-        // away. Waiting for send *completion* would deadlock symmetric
-        // exchanges on the rendezvous path, where a send only completes
-        // once the peer posts the matching receive. Dependencies on
-        // receive steps need the data and wait for completion.
-        let mut done = vec![false; n];
-        let mut issued = vec![false; n];
-        let dep_ok = |done: &[bool], issued: &[bool], d: usize| match plan.steps[d].op {
-            StepOp::Send(_) => issued[d],
-            StepOp::Recv(_) => done[d],
-        };
-        // The steps in flight and their requests, index for index: a
-        // completion is `swap_remove`d from both at the same index, so
-        // `swait_any` sees the requests in `inflight`'s order.
-        let mut inflight: Vec<usize> = Vec::new();
-        let mut reqs: Vec<PiomReq> = Vec::new();
-        let mut completed = 0usize;
-        while completed < n {
-            for i in 0..n {
-                if issued[i] || !plan.deps(i).all(|d| dep_ok(&done, &issued, d)) {
-                    continue;
-                }
-                issued[i] = true;
-                let step = &plan.steps[i];
-                let tag = space.tag(u64::from(step.flow));
-                let sim = ctx.marcel().sim();
-                sim.obs().emit(
-                    sim.now(),
-                    Some(ctx.marcel().node().0),
-                    EventKind::CollStep {
-                        rank: self.inner.rank,
-                        step: i,
-                        flow: u64::from(step.flow),
-                        peer: step.peer as usize,
-                        send: matches!(step.op, StepOp::Send(_)),
-                    },
-                );
-                let req = match &step.op {
-                    StepOp::Send(src) => {
-                        let bytes = materialize(bufs, src);
-                        sim.verify().lock_acquire("coll.state");
-                        {
-                            let mut c = self.inner.counters.borrow_mut();
-                            c.sends += 1;
-                            c.bytes_sent += bytes.len() as u64;
-                            if matches!(src, SendSrc::Slot { range: Some(_), .. }) {
-                                c.chunks += 1;
-                            }
-                        }
-                        sim.verify().lock_release("coll.state");
-                        let h = session
-                            .isend(ctx, NodeId(step.peer as usize), tag, bytes)
-                            .await;
-                        h.req().clone()
-                    }
-                    StepOp::Recv(_) => {
-                        let h = session
-                            .irecv(ctx, Some(NodeId(step.peer as usize)), tag)
-                            .await;
-                        h.req().clone()
-                    }
+    // A plain `fn` around an `async move` block: an `async fn` would keep
+    // its arguments twice in the executor's state.
+    #[allow(clippy::manual_async_fn)]
+    fn run_plan<'a>(
+        &'a self,
+        ctx: &'a ThreadCtx,
+        plan: &'a Plan,
+        bufs: &'a mut [Vec<u8>],
+        space: TagSpace,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            let n = plan.steps.len();
+            if n == 0 {
+                return;
+            }
+            let session = &self.inner.session;
+            // A dependency on a *send* step is satisfied at issue time: the
+            // payload is materialized (copied out of the slot) when the send
+            // is submitted, so a WAR successor may overwrite the slot right
+            // away. Waiting for send *completion* would deadlock symmetric
+            // exchanges on the rendezvous path, where a send only completes
+            // once the peer posts the matching receive. Dependencies on
+            // receive steps need the data and wait for completion.
+            // One flag byte per step: `ISSUED`, then `DONE` on completion.
+            const ISSUED: u8 = 1;
+            const DONE: u8 = 2;
+            let mut flags = vec![0u8; n];
+            let dep_ok = |flags: &[u8], d: usize| {
+                let need = if plan.steps[d].is_send() {
+                    ISSUED
+                } else {
+                    DONE
                 };
-                inflight.push(i);
-                reqs.push(req);
-            }
-            let idx = session.swait_any(&reqs, ctx).await;
-            let i = inflight.swap_remove(idx);
-            let req = reqs.swap_remove(idx);
-            if let StepOp::Recv(dst) = &plan.steps[i].op {
-                let data = req.take_data().expect("completed receive carries data");
-                ctx.marcel().sim().verify().lock_acquire("coll.state");
-                {
-                    let mut c = self.inner.counters.borrow_mut();
-                    c.recvs += 1;
-                    c.bytes_recv += data.len() as u64;
+                flags[d] & need != 0
+            };
+            // The steps in flight and their requests, index for index: a
+            // completion is `swap_remove`d from both at the same index, so
+            // `swait_any` sees the requests in `inflight`'s order.
+            let mut inflight: Vec<usize> = Vec::new();
+            let mut reqs: Vec<PiomReq> = Vec::new();
+            let mut completed = 0usize;
+            while completed < n {
+                for i in 0..n {
+                    if flags[i] & ISSUED != 0 || !plan.deps(i).all(|d| dep_ok(&flags, d)) {
+                        continue;
+                    }
+                    flags[i] |= ISSUED;
+                    let step = &plan.steps[i];
+                    let tag = space.tag(u64::from(step.flow));
+                    let sim = ctx.marcel().sim();
+                    sim.obs().emit(
+                        sim.now(),
+                        Some(ctx.marcel().node().0),
+                        EventKind::CollStep {
+                            rank: self.inner.rank,
+                            step: i,
+                            flow: u64::from(step.flow),
+                            peer: step.peer as usize,
+                            send: step.is_send(),
+                        },
+                    );
+                    let req = match plan.op(i) {
+                        StepOp::Send(src) => {
+                            let bytes = materialize(bufs, src);
+                            sim.verify().lock_acquire("coll.state");
+                            {
+                                let mut c = self.inner.counters.borrow_mut();
+                                c.sends += 1;
+                                c.bytes_sent += bytes.len() as u64;
+                                if matches!(src, SendSrc::Slot { range: Some(_), .. }) {
+                                    c.chunks += 1;
+                                }
+                            }
+                            sim.verify().lock_release("coll.state");
+                            let h = session
+                                .isend(ctx, NodeId(step.peer as usize), tag, bytes)
+                                .await;
+                            h.req().clone()
+                        }
+                        StepOp::Recv(_) => {
+                            let h = session
+                                .irecv(ctx, Some(NodeId(step.peer as usize)), tag)
+                                .await;
+                            h.req().clone()
+                        }
+                    };
+                    inflight.push(i);
+                    reqs.push(req);
                 }
-                ctx.marcel().sim().verify().lock_release("coll.state");
-                apply_recv(bufs, dst, data);
+                let idx = session.swait_any(&reqs, ctx).await;
+                let i = inflight.swap_remove(idx);
+                let req = reqs.swap_remove(idx);
+                if let StepOp::Recv(dst) = plan.op(i) {
+                    let data = req.take_data().expect("completed receive carries data");
+                    ctx.marcel().sim().verify().lock_acquire("coll.state");
+                    {
+                        let mut c = self.inner.counters.borrow_mut();
+                        c.recvs += 1;
+                        c.bytes_recv += data.len() as u64;
+                    }
+                    ctx.marcel().sim().verify().lock_release("coll.state");
+                    apply_recv(bufs, dst, data);
+                }
+                let verify = ctx.marcel().sim().verify();
+                verify.lock_acquire("coll.state");
+                self.inner.counters.borrow_mut().steps += 1;
+                verify.lock_release("coll.state");
+                flags[i] |= DONE;
+                completed += 1;
             }
-            let verify = ctx.marcel().sim().verify();
-            verify.lock_acquire("coll.state");
-            self.inner.counters.borrow_mut().steps += 1;
-            verify.lock_release("coll.state");
-            done[i] = true;
-            completed += 1;
         }
     }
 }

@@ -171,16 +171,32 @@ pub enum RecvDst {
     Unpack,
 }
 
-/// A send or receive with its data binding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepOp {
+/// A send or receive with its data binding, as [`Plan::op`] reads it
+/// back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepOp<'a> {
     /// Transmit to [`Step::peer`].
-    Send(SendSrc),
+    Send(&'a SendSrc),
     /// Receive from [`Step::peer`].
-    Recv(RecvDst),
+    Recv(&'a RecvDst),
 }
 
-/// One point-to-point operation of a plan.
+/// How a step stores its operation: a zero-byte token or discard inline,
+/// anything with a slot, range or rank list as an index into the plan's
+/// side list of that direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Token,
+    Discard,
+    Send(u32),
+    Recv(u32),
+}
+
+static TOKEN: SendSrc = SendSrc::Token;
+static DISCARD: RecvDst = RecvDst::Discard;
+
+/// One point-to-point operation of a plan: 24 bytes, so that a barrier's
+/// plan (two steps per round, held while the barrier runs) stays small.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// The remote rank.
@@ -193,8 +209,15 @@ pub struct Step {
     /// Where this step's dependencies sit in the plan's shared list (see
     /// [`Plan::deps`]).
     deps: Range<u32>,
-    /// The operation.
-    pub op: StepOp,
+    /// The operation (see [`Plan::op`]).
+    op: Op,
+}
+
+impl Step {
+    /// True for a send, false for a receive.
+    pub fn is_send(&self) -> bool {
+        matches!(self.op, Op::Token | Op::Send(_))
+    }
 }
 
 /// One rank's step-DAG for one collective.
@@ -205,6 +228,10 @@ pub struct Plan {
     /// Every step's dependencies, concatenated in step order: one
     /// allocation per plan rather than one per step.
     deps: Vec<u32>,
+    /// The payload sources of the send steps that are not tokens.
+    sends: Vec<SendSrc>,
+    /// The destinations of the receive steps that do not discard.
+    recvs: Vec<RecvDst>,
 }
 
 impl Plan {
@@ -218,7 +245,14 @@ impl Plan {
     /// # Panics
     /// Panics if `flow` overflows the tag's 32-bit flow field.
     pub fn send(&mut self, peer: usize, flow: u64, deps: &[usize], src: SendSrc) -> usize {
-        self.push(peer, flow, deps, StepOp::Send(src))
+        let op = match src {
+            SendSrc::Token => Op::Token,
+            src => {
+                self.sends.push(src);
+                Op::Send(side_index(self.sends.len()))
+            }
+        };
+        self.push(peer, flow, deps, op)
     }
 
     /// Appends a receive step; returns its index.
@@ -226,10 +260,17 @@ impl Plan {
     /// # Panics
     /// Panics if `flow` overflows the tag's 32-bit flow field.
     pub fn recv(&mut self, peer: usize, flow: u64, deps: &[usize], dst: RecvDst) -> usize {
-        self.push(peer, flow, deps, StepOp::Recv(dst))
+        let op = match dst {
+            RecvDst::Discard => Op::Discard,
+            dst => {
+                self.recvs.push(dst);
+                Op::Recv(side_index(self.recvs.len()))
+            }
+        };
+        self.push(peer, flow, deps, op)
     }
 
-    fn push(&mut self, peer: usize, flow: u64, deps: &[usize], op: StepOp) -> usize {
+    fn push(&mut self, peer: usize, flow: u64, deps: &[usize], op: Op) -> usize {
         debug_assert!(
             deps.iter().all(|&d| d < self.steps.len()),
             "dependency on a not-yet-planned step"
@@ -255,26 +296,41 @@ impl Plan {
             .map(|&d| d as usize)
     }
 
-    /// Drops the slack the step and dependency lists grew by doubling:
-    /// a plan lives as long as its collective runs.
+    /// The operation of step `step`.
+    pub fn op(&self, step: usize) -> StepOp<'_> {
+        match self.steps[step].op {
+            Op::Token => StepOp::Send(&TOKEN),
+            Op::Discard => StepOp::Recv(&DISCARD),
+            Op::Send(i) => StepOp::Send(&self.sends[i as usize]),
+            Op::Recv(i) => StepOp::Recv(&self.recvs[i as usize]),
+        }
+    }
+
+    /// Drops the slack the plan's lists grew by doubling: a plan lives
+    /// as long as its collective runs.
     pub fn shrink_to_fit(&mut self) {
         self.steps.shrink_to_fit();
         self.deps.shrink_to_fit();
+        self.sends.shrink_to_fit();
+        self.recvs.shrink_to_fit();
     }
 
     /// Number of send steps (the root-hot-spot regression test counts
     /// these).
     pub fn send_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s.op, StepOp::Send(_)))
-            .count()
+        self.steps.iter().filter(|s| s.is_send()).count()
     }
 
     /// Number of receive steps.
     pub fn recv_count(&self) -> usize {
         self.steps.len() - self.send_count()
     }
+}
+
+/// The index of the side-list entry just pushed, given the list's new
+/// length.
+fn side_index(len: usize) -> u32 {
+    u32::try_from(len - 1).expect("fewer than 2^32 steps in a plan")
 }
 
 /// Splits `len` bytes into `parts` contiguous near-equal ranges
@@ -441,5 +497,35 @@ mod tests {
         p.send(1, 1, &[r], SendSrc::Token);
         assert_eq!(p.send_count(), 1);
         assert_eq!(p.recv_count(), 1);
+    }
+
+    #[test]
+    fn ops_read_back_as_planned() {
+        let mut p = Plan::new();
+        let slot = SendSrc::Slot {
+            slot: 0,
+            range: Some(2..5),
+        };
+        let combine = RecvDst::Slot {
+            slot: 1,
+            range: None,
+            combine: Some(ReduceOp::WrapAdd8),
+        };
+        let packed = SendSrc::Packed { ranks: vec![3, 1] };
+        p.send(1, 0, &[], SendSrc::Token);
+        p.recv(2, 0, &[], combine.clone());
+        p.send(3, 1, &[1], slot.clone());
+        p.recv(4, 1, &[0, 2], RecvDst::Discard);
+        p.send(5, 2, &[], packed.clone());
+        p.shrink_to_fit();
+        assert_eq!(p.op(0), StepOp::Send(&SendSrc::Token));
+        assert_eq!(p.op(1), StepOp::Recv(&combine));
+        assert_eq!(p.op(2), StepOp::Send(&slot));
+        assert_eq!(p.op(3), StepOp::Recv(&RecvDst::Discard));
+        assert_eq!(p.op(4), StepOp::Send(&packed));
+        assert_eq!(p.deps(3).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(p.send_count(), 3);
+        // Tokens and discards take no side-list entry.
+        assert_eq!((p.sends.len(), p.recvs.len()), (2, 1));
     }
 }

@@ -14,6 +14,7 @@ use pm2_sim::{Sim, SimDuration, SimTime, Site, Trigger};
 use pm2_topo::CoreId;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::{Rc, Weak};
 
 /// Outcome of one driver progress step.
@@ -227,7 +228,8 @@ type Drivers = Rc<[Option<Rc<dyn ProgressDriver>>]>;
 struct Inner {
     sim: Sim,
     marcel: Marcel,
-    cfg: PiomanConfig,
+    /// Shared by every node of a cluster.
+    cfg: Rc<PiomanConfig>,
     /// Registered drivers; detached slots stay as `None` so ids remain
     /// stable. A snapshot, rebuilt on attach and detach, so a progress
     /// pass holds it with one reference-count bump.
@@ -311,7 +313,10 @@ impl CallSite {
 impl Pioman {
     /// Creates the server, hooks it into `marcel` (idle hook, progress
     /// tasklet, timer trigger).
-    pub fn new(marcel: &Marcel, cfg: PiomanConfig) -> Pioman {
+    ///
+    /// `cfg` is a config or an `Rc` of one that every node shares.
+    pub fn new(marcel: &Marcel, cfg: impl Into<Rc<PiomanConfig>>) -> Pioman {
+        let cfg = cfg.into();
         let inner = Rc::new(Inner {
             sim: marcel.sim().clone(),
             marcel: marcel.clone(),
@@ -440,14 +445,15 @@ impl Pioman {
             *drivers = list.into();
             DriverId(drivers.len() - 1)
         };
-        self.inner
-            .driver_stats
-            .borrow_mut()
-            .push(PiomanStats::default());
-        self.inner
-            .driver_health
-            .borrow_mut()
-            .push(DriverHealth::default());
+        // Exact fit: a session attaches one rail and one shm driver, and
+        // `push`'s first growth would reserve four slots of each table.
+        let mut stats = self.inner.driver_stats.borrow_mut();
+        stats.reserve_exact(1);
+        stats.push(PiomanStats::default());
+        let mut health = self.inner.driver_health.borrow_mut();
+        health.reserve_exact(1);
+        health.push(DriverHealth::default());
+        drop((stats, health));
         self.inner.marcel.wake_parked();
         id
     }
@@ -979,43 +985,52 @@ impl Pioman {
     ///
     /// Returns immediately with the first already-complete request if one
     /// exists.
-    pub async fn wait_any(&self, reqs: &[PiomReq], ctx: &ThreadCtx) -> usize {
-        assert!(!reqs.is_empty(), "wait_any on empty request set");
-        loop {
-            if let Some(i) = reqs.iter().position(PiomReq::is_complete) {
-                self.inner.sim.verify().observe_complete(reqs[i].id());
-                return i;
+    // A plain `fn` around an `async move` block, like `wait`: an `async
+    // fn` would store its arguments twice in every waiting thread.
+    #[allow(clippy::manual_async_fn)]
+    pub fn wait_any<'a>(
+        &'a self,
+        reqs: &'a [PiomReq],
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = usize> + 'a {
+        async move {
+            assert!(!reqs.is_empty(), "wait_any on empty request set");
+            loop {
+                if let Some(i) = reqs.iter().position(PiomReq::is_complete) {
+                    self.inner.sim.verify().observe_complete(reqs[i].id());
+                    return i;
+                }
+                let Pass { p, .. } = self.locked_progress(CallSite::Inline);
+                if !p.cost.is_zero() {
+                    ctx.compute(p.cost).await;
+                }
+                if p.did_work {
+                    continue;
+                }
+                if !self.inner.cfg.can_progress_in_background() {
+                    ctx.compute(self.inner.cfg.inline_poll_pause).await;
+                    continue;
+                }
+                self.ensure_watcher();
+                // Block on a trigger fired by whichever request finishes
+                // first, through one forwarder per turn: it waits on every
+                // request trigger at once and fires `any`. The hop through
+                // `any` stays (waking the thread straight from the request
+                // triggers reorders same-instant wakes, which moves the
+                // `ring_1024` and `coll_rma_step` counts and the
+                // `tests/idle.rs` `coll_rma_step` golden at seed 1). The
+                // forwarder ends at the first completion and its `AnyWait`
+                // leaves every other trigger, so a request that stays pending
+                // across many turns holds no waiter of a finished turn.
+                let any = Trigger::new();
+                let first = Trigger::wait_any(reqs.iter().map(PiomReq::trigger));
+                let t = any.clone();
+                self.inner.sim.spawn(async move {
+                    first.await;
+                    t.fire();
+                });
+                ctx.block_until(&any, true).await;
             }
-            let Pass { p, .. } = self.locked_progress(CallSite::Inline);
-            if !p.cost.is_zero() {
-                ctx.compute(p.cost).await;
-            }
-            if p.did_work {
-                continue;
-            }
-            if !self.inner.cfg.can_progress_in_background() {
-                ctx.compute(self.inner.cfg.inline_poll_pause).await;
-                continue;
-            }
-            self.ensure_watcher();
-            // Block on a trigger fired by whichever request finishes
-            // first, through one forwarder per turn: it waits on every
-            // request trigger at once and fires `any`. The hop through
-            // `any` stays (waking the thread straight from the request
-            // triggers reorders same-instant wakes, which moves the
-            // `ring_1024` and `coll_rma_step` counts and the
-            // `tests/idle.rs` `coll_rma_step` golden at seed 1). The
-            // forwarder ends at the first completion and its `AnyWait`
-            // leaves every other trigger, so a request that stays pending
-            // across many turns holds no waiter of a finished turn.
-            let any = Trigger::new();
-            let first = Trigger::wait_any(reqs.iter().map(PiomReq::trigger));
-            let t = any.clone();
-            self.inner.sim.spawn(async move {
-                first.await;
-                t.fire();
-            });
-            ctx.block_until(&any, true).await;
         }
     }
 
@@ -1026,31 +1041,40 @@ impl Pioman {
     /// submitted … the message is sent inside the wait function", §3.2);
     /// once nothing more can be done inline it blocks on the request's
     /// trigger, releasing its core so that PIOMAN can use it for polling.
-    pub async fn wait(&self, req: &PiomReq, ctx: &ThreadCtx) {
-        self.inner.stats.borrow_mut().waits += 1;
-        loop {
-            if req.is_complete() {
-                self.inner.sim.verify().observe_complete(req.id());
-                return;
-            }
-            let Pass { p, .. } = self.locked_progress(CallSite::Inline);
-            if !p.cost.is_zero() {
-                ctx.compute(p.cost).await;
-            }
-            if req.is_complete() {
-                self.inner.sim.verify().observe_complete(req.id());
-                return;
-            }
-            if p.did_work {
-                continue;
-            }
-            if self.inner.cfg.can_progress_in_background() {
-                self.ensure_watcher();
-                ctx.block_until(req.trigger(), true).await;
-            } else {
-                // No one else will ever poll: busy-wait like a classical
-                // MPI implementation.
-                ctx.compute(self.inner.cfg.inline_poll_pause).await;
+    // A plain `fn` around an `async move` block: an `async fn` stores its
+    // arguments twice, and this future sits inside every blocked wait.
+    #[allow(clippy::manual_async_fn)]
+    pub fn wait<'a>(
+        &'a self,
+        req: &'a PiomReq,
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.inner.stats.borrow_mut().waits += 1;
+            loop {
+                if req.is_complete() {
+                    self.inner.sim.verify().observe_complete(req.id());
+                    return;
+                }
+                let Pass { p, .. } = self.locked_progress(CallSite::Inline);
+                if !p.cost.is_zero() {
+                    ctx.compute(p.cost).await;
+                }
+                if req.is_complete() {
+                    self.inner.sim.verify().observe_complete(req.id());
+                    return;
+                }
+                if p.did_work {
+                    continue;
+                }
+                if self.inner.cfg.can_progress_in_background() {
+                    self.ensure_watcher();
+                    ctx.block_until(req.trigger(), true).await;
+                } else {
+                    // No one else will ever poll: busy-wait like a classical
+                    // MPI implementation.
+                    ctx.compute(self.inner.cfg.inline_poll_pause).await;
+                }
             }
         }
     }

@@ -167,7 +167,9 @@ pub(crate) struct Inner {
     pub(crate) sim: Sim,
     pub(crate) topo: Rc<Topology>,
     pub(crate) node: NodeId,
-    pub(crate) cfg: MarcelConfig,
+    /// Shared by every node of a cluster (one allocation, not one per
+    /// rank).
+    pub(crate) cfg: Rc<MarcelConfig>,
     pub(crate) state: RefCell<State>,
 }
 
@@ -196,7 +198,15 @@ pub struct Marcel {
 
 impl Marcel {
     /// Creates a scheduler owning the cores of `node` in `topo`.
-    pub fn new(sim: Sim, topo: Rc<Topology>, node: NodeId, cfg: MarcelConfig) -> Marcel {
+    ///
+    /// `cfg` is a config or an `Rc` of one that every node shares.
+    pub fn new(
+        sim: Sim,
+        topo: Rc<Topology>,
+        node: NodeId,
+        cfg: impl Into<Rc<MarcelConfig>>,
+    ) -> Marcel {
+        let cfg = cfg.into();
         let runq = RunQueues::new(topo.cores_per_node(), topo.sockets_per_node());
         let cores = topo
             .cores_of(node)

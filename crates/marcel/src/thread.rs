@@ -67,27 +67,39 @@ impl ThreadCtx {
     /// [`crate::MarcelConfig::timer_steals_from_compute`], pending tasklets
     /// may steal cycles at timer-tick boundaries, extending the wall time
     /// of the computation accordingly.
-    pub async fn compute(&self, d: SimDuration) {
+    //
+    // A plain `fn` around an `async move` block, here and on the other
+    // per-message waits: an `async fn` stores its arguments twice in its
+    // state, and this future sits inside every communication call's.
+    #[allow(clippy::manual_async_fn)]
+    pub fn compute(&self, d: SimDuration) -> impl Future<Output = ()> + '_ {
+        async move {
+            match self.marcel.compute_steal_config() {
+                // An ablation's setting: boxed, so that its loop state
+                // stays out of every caller's future.
+                Some(tick) => Box::pin(self.compute_with_steals(d, tick)).await,
+                None => self.marcel.sim().sleep(d).await,
+            }
+        }
+    }
+
+    /// [`ThreadCtx::compute`] in `tick` slices, a pending tasklet
+    /// stealing the core at each slice boundary.
+    async fn compute_with_steals(&self, d: SimDuration, tick: SimDuration) {
         let sim = self.marcel.sim().clone();
-        let steal_cfg = self.marcel.compute_steal_config();
-        match steal_cfg {
-            Some(tick) => {
-                let mut remaining = d;
-                while !remaining.is_zero() {
-                    let slice = remaining.min(tick);
-                    sim.sleep(slice).await;
-                    remaining = remaining.saturating_sub(slice);
-                    if !remaining.is_zero() {
-                        // Tick boundary: let at most one pending tasklet
-                        // steal this core.
-                        let stolen = self.marcel.steal_one_tasklet(self.id);
-                        if !stolen.is_zero() {
-                            sim.sleep(stolen).await;
-                        }
-                    }
+        let mut remaining = d;
+        while !remaining.is_zero() {
+            let slice = remaining.min(tick);
+            sim.sleep(slice).await;
+            remaining = remaining.saturating_sub(slice);
+            if !remaining.is_zero() {
+                // Tick boundary: let at most one pending tasklet steal
+                // this core.
+                let stolen = self.marcel.steal_one_tasklet(self.id);
+                if !stolen.is_zero() {
+                    sim.sleep(stolen).await;
                 }
             }
-            None => sim.sleep(d).await,
         }
     }
 
@@ -98,18 +110,25 @@ impl ThreadCtx {
     /// Returns immediately (without releasing the core) if the trigger has
     /// already fired — the check-then-block sequence is atomic because the
     /// simulator is event-driven.
-    pub async fn block_until<T>(&self, trigger: &Trigger<T>, urgent: bool) {
-        if trigger.is_fired() {
-            return;
+    #[allow(clippy::manual_async_fn)]
+    pub fn block_until<'a, T>(
+        &'a self,
+        trigger: &'a Trigger<T>,
+        urgent: bool,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            if trigger.is_fired() {
+                return;
+            }
+            self.marcel.release_blocked(self.id);
+            trigger.wait().await;
+            self.marcel.make_ready(self.id, urgent);
+            WaitDispatched {
+                marcel: self.marcel.clone(),
+                id: self.id,
+            }
+            .await;
         }
-        self.marcel.release_blocked(self.id);
-        trigger.wait().await;
-        self.marcel.make_ready(self.id, urgent);
-        WaitDispatched {
-            marcel: self.marcel.clone(),
-            id: self.id,
-        }
-        .await;
     }
 
     /// Releases the core and parks until [`Marcel::unpark`].

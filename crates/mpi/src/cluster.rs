@@ -131,7 +131,8 @@ pub struct Cluster {
     piomans: Vec<Option<Pioman>>,
     sessions: Vec<Session>,
     rmas: Vec<RmaEngine>,
-    coll: CollTuning,
+    /// Shared by every rank's collective engine ([`crate::Comm::world`]).
+    pub(crate) coll: Rc<CollTuning>,
 }
 
 impl Cluster {
@@ -150,13 +151,30 @@ impl Cluster {
         let fabrics: Vec<Rc<Fabric<WireMsg>>> = (0..cfg.rails)
             .map(|_| Fabric::new(sim.clone(), Rc::clone(&topo), Rc::clone(&params)))
             .collect();
+        // Likewise one scheduler, server and session config for all
+        // nodes.
+        let marcel_cfg = Rc::new(cfg.marcel);
+        let pioman_cfg = Rc::new(cfg.pioman);
+        let session_cfg = Rc::new(SessionConfig {
+            engine: cfg.engine,
+            rdv_threshold: cfg.rdv_threshold,
+            multirail: cfg.multirail,
+            offload_policy: cfg.offload_policy,
+            credit_bytes_per_peer: cfg.credit_bytes_per_peer,
+            ..SessionConfig::default()
+        });
         let mut marcels = Vec::new();
         let mut piomans = Vec::new();
         let mut sessions = Vec::new();
         for n in 0..cfg.nodes {
-            let marcel = Marcel::new(sim.clone(), Rc::clone(&topo), NodeId(n), cfg.marcel.clone());
+            let marcel = Marcel::new(
+                sim.clone(),
+                Rc::clone(&topo),
+                NodeId(n),
+                Rc::clone(&marcel_cfg),
+            );
             let pioman = match cfg.engine {
-                EngineKind::Pioman => Some(Pioman::new(&marcel, cfg.pioman.clone())),
+                EngineKind::Pioman => Some(Pioman::new(&marcel, Rc::clone(&pioman_cfg))),
                 EngineKind::Sequential => None,
             };
             let rails = fabrics.iter().map(|f| f.nic(NodeId(n))).collect();
@@ -168,14 +186,7 @@ impl Cluster {
                 shm,
                 cfg.strategy.build(),
                 pioman.clone(),
-                SessionConfig {
-                    engine: cfg.engine,
-                    rdv_threshold: cfg.rdv_threshold,
-                    multirail: cfg.multirail,
-                    offload_policy: cfg.offload_policy,
-                    credit_bytes_per_peer: cfg.credit_bytes_per_peer,
-                    ..SessionConfig::default()
-                },
+                Rc::clone(&session_cfg),
             );
             marcels.push(marcel);
             piomans.push(pioman);
@@ -191,7 +202,7 @@ impl Cluster {
             piomans,
             sessions,
             rmas,
-            coll: cfg.coll,
+            coll: Rc::new(cfg.coll),
         }
     }
 

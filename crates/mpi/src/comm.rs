@@ -49,7 +49,7 @@ impl Comm {
                     cluster.session(rank).clone(),
                     rank,
                     cluster.ranks(),
-                    cluster.coll_tuning().clone(),
+                    std::rc::Rc::clone(&cluster.coll),
                 ),
             })
             .collect()

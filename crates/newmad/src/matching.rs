@@ -274,11 +274,18 @@ impl<T> ArrivalPool<T> {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         let idx = self.arena.insert((stamp, value));
+        // A new key's queues start with room for one entry, not the four
+        // of a first `push_back`: with a tag per message (a rendezvous
+        // announcement each, say) every entry has keys of its own.
+        let new_queue = || VecDeque::with_capacity(1);
         self.by_src
             .entry((src, tag))
-            .or_default()
+            .or_insert_with(new_queue)
             .push_back((idx, stamp));
-        self.by_tag.entry(tag).or_default().push_back((idx, stamp));
+        self.by_tag
+            .entry(tag)
+            .or_insert_with(new_queue)
+            .push_back((idx, stamp));
     }
 
     /// True if `(idx, stamp)` indexes a live entry, not a stale twin.

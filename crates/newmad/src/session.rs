@@ -21,6 +21,7 @@ use pm2_sim::obs::EventKind;
 use pm2_sim::{Sim, SimDuration};
 use pm2_topo::NodeId;
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 pub(crate) struct SessionInner {
@@ -32,7 +33,8 @@ pub(crate) struct SessionInner {
     pub(crate) strategy: Rc<dyn Strategy>,
     pub(crate) pioman: Option<Pioman>,
     pub(crate) registry: MemoryRegistry,
-    pub(crate) cfg: SessionConfig,
+    /// Shared by every session of a cluster.
+    pub(crate) cfg: Rc<SessionConfig>,
     /// Whether the ack/retransmit reliability layer is active: exactly
     /// when a rail carries an active [`FaultPlan`](pm2_fabric::FaultPlan),
     /// so the happy path stays byte-identical to a build without the
@@ -106,8 +108,9 @@ impl Session {
         shm: Rc<ShmChannel<ShmMsg>>,
         strategy: Rc<dyn Strategy>,
         pioman: Option<Pioman>,
-        cfg: SessionConfig,
+        cfg: impl Into<Rc<SessionConfig>>,
     ) -> Session {
+        let cfg = cfg.into();
         assert!(!rails.is_empty(), "a session needs at least one rail");
         if cfg.engine == EngineKind::Pioman {
             assert!(
@@ -235,16 +238,41 @@ impl Session {
     /// calling core); the expensive submission happens later — in the
     /// background under the PIOMAN engine, inside `swait` under the
     /// sequential engine.
-    pub async fn isend(
+    //
+    // A plain `fn` around an `async move` block, like the waits below: an
+    // `async fn` stores its arguments twice in its state. The posting
+    // itself is synchronous (`post_send`), so across the awaits the
+    // future holds its arguments and, at the end, the request.
+    #[allow(clippy::manual_async_fn)]
+    pub fn isend<'a>(
+        &'a self,
+        ctx: &'a ThreadCtx,
+        dest: NodeId,
+        tag: Tag,
+        data: Vec<u8>,
+    ) -> impl Future<Output = SendHandle> + 'a {
+        async move {
+            self.seq_acquire(ctx).await;
+            self.seq_hold(self.inner.cfg.request_registration);
+            ctx.compute(self.inner.cfg.request_registration).await;
+            let (req, inline_cost) = self.post_send(ctx, dest, tag, data);
+            if let Some(cost) = inline_cost {
+                // Inline: the calling thread pays the submission here.
+                ctx.compute(cost).await;
+            }
+            SendHandle { req }
+        }
+    }
+
+    /// Registers a send: the request, its pack or rendezvous record, and
+    /// an inline submission's cost for the calling thread to pay.
+    fn post_send(
         &self,
         ctx: &ThreadCtx,
         dest: NodeId,
         tag: Tag,
         data: Vec<u8>,
-    ) -> SendHandle {
-        self.seq_acquire(ctx).await;
-        self.seq_hold(self.inner.cfg.request_registration);
-        ctx.compute(self.inner.cfg.request_registration).await;
+    ) -> (PiomReq, Option<SimDuration>) {
         let req = PiomReq::new(&self.inner.sim, "send");
         let len = data.len();
         let intra = dest == self.inner.node;
@@ -355,24 +383,56 @@ impl Session {
                 rdv: rdv_id,
             },
         );
-        match inline_submission {
+        let inline_cost = match inline_submission {
             Some(sub) => {
-                // Inline: the calling thread pays the submission here.
                 let cost = self.submit(sub);
                 self.wake_parked();
-                ctx.compute(cost).await;
+                Some(cost)
             }
-            None => self.notify_work(ctx),
-        }
-        SendHandle { req }
+            None => {
+                self.notify_work(ctx);
+                None
+            }
+        };
+        (req, inline_cost)
     }
 
     /// Posts an asynchronous receive for `(src, tag)`; `None` matches any
     /// source.
-    pub async fn irecv(&self, ctx: &ThreadCtx, src: Option<NodeId>, tag: Tag) -> RecvHandle {
-        self.seq_acquire(ctx).await;
-        self.seq_hold(self.inner.cfg.request_registration);
-        ctx.compute(self.inner.cfg.request_registration).await;
+    #[allow(clippy::manual_async_fn)]
+    pub fn irecv<'a>(
+        &'a self,
+        ctx: &'a ThreadCtx,
+        src: Option<NodeId>,
+        tag: Tag,
+    ) -> impl Future<Output = RecvHandle> + 'a {
+        async move {
+            self.seq_acquire(ctx).await;
+            self.seq_hold(self.inner.cfg.request_registration);
+            ctx.compute(self.inner.cfg.request_registration).await;
+            let (req, copy_cost) = self.post_recv(src, tag);
+            if let Some((cost, copied)) = copy_cost {
+                ctx.compute(cost).await;
+                // Eager unexpected: completed by the copy itself.
+                // Rendezvous: completes when the data lands.
+                if copied {
+                    req.complete(&self.inner.sim);
+                }
+            }
+            // A match may have queued work (CTS or credit-return packs);
+            // a freshly posted receive arms the background engine
+            // (polling interest and, if configured, the blocking
+            // watcher).
+            self.notify_work(ctx);
+            RecvHandle { req }
+        }
+    }
+
+    /// Registers a receive: takes a matching unexpected message or
+    /// rendezvous announcement, else posts it. Returns the request and,
+    /// when something matched, the cost the calling thread pays for it
+    /// and whether the copy completed the receive.
+    fn post_recv(&self, src: Option<NodeId>, tag: Tag) -> (PiomReq, Option<(SimDuration, bool)>) {
         let req = PiomReq::new(&self.inner.sim, "recv");
         self.inner.sim.obs().emit(
             self.inner.sim.now(),
@@ -431,102 +491,97 @@ impl Session {
         verify.lock_release("newmad.state");
         verify.set_node(vnode);
         self.wake_parked();
-        match copy_cost {
-            Some((cost, copied)) => {
-                ctx.compute(cost).await;
-                // Eager unexpected: completed by the copy itself.
-                // Rendezvous: completes when the data lands.
-                if copied {
-                    req.complete(&self.inner.sim);
-                }
-                // Either way there may be new work (CTS or credit-return
-                // packs queued above).
-                self.notify_work(ctx);
-            }
-            None => {
-                // Freshly posted: arm the background engine (polling
-                // interest and, if configured, the blocking watcher).
-                self.notify_work(ctx);
-            }
-        }
-        RecvHandle { req }
+        (req, copy_cost)
     }
 
     /// Waits for a request from thread `ctx`, engine-dependently.
-    pub async fn swait(&self, req: &PiomReq, ctx: &ThreadCtx) {
-        match self.inner.cfg.engine {
-            EngineKind::Pioman => {
-                self.inner
-                    .pioman
-                    .as_ref()
-                    // lint-allow: engine kind fixed at construction
-                    .expect("pioman engine")
-                    .wait(req, ctx)
-                    .await;
+    #[allow(clippy::manual_async_fn)]
+    pub fn swait<'a>(
+        &'a self,
+        req: &'a PiomReq,
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            match &self.inner.pioman {
+                Some(p) if self.inner.cfg.engine == EngineKind::Pioman => p.wait(req, ctx).await,
+                // Boxed: the sequential engine's loop state stays out of
+                // every PIOMAN waiter's future.
+                _ => Box::pin(self.seq_wait(req, ctx)).await,
             }
-            EngineKind::Sequential => {
-                // The original NewMadeleine: the calling thread drives all
-                // progress, never yields its core, and serializes against
-                // other threads through the library-wide mutex.
-                loop {
-                    if req.is_complete() {
-                        self.inner.sim.verify().observe_complete(req.id());
-                        return;
-                    }
-                    self.seq_acquire(ctx).await;
-                    if req.is_complete() {
-                        self.inner.sim.verify().observe_complete(req.id());
-                        return;
-                    }
-                    let p = self.progress_unit();
-                    if !p.cost.is_zero() {
-                        self.seq_hold(p.cost);
-                        ctx.compute(p.cost).await;
-                    }
-                    if req.is_complete() {
-                        self.inner.sim.verify().observe_complete(req.id());
-                        return;
-                    }
-                    if !p.did_work {
-                        ctx.compute(self.inner.cfg.poll_pause).await;
-                    }
-                }
+        }
+    }
+
+    /// The sequential engine's wait: the original NewMadeleine, in which
+    /// the calling thread drives all progress, never yields its core, and
+    /// serializes against other threads through the library-wide mutex.
+    async fn seq_wait(&self, req: &PiomReq, ctx: &ThreadCtx) {
+        loop {
+            if req.is_complete() {
+                self.inner.sim.verify().observe_complete(req.id());
+                return;
+            }
+            self.seq_acquire(ctx).await;
+            if req.is_complete() {
+                self.inner.sim.verify().observe_complete(req.id());
+                return;
+            }
+            let p = self.progress_unit();
+            if !p.cost.is_zero() {
+                self.seq_hold(p.cost);
+                ctx.compute(p.cost).await;
+            }
+            if req.is_complete() {
+                self.inner.sim.verify().observe_complete(req.id());
+                return;
+            }
+            if !p.did_work {
+                ctx.compute(self.inner.cfg.poll_pause).await;
             }
         }
     }
 
     /// `swait` on a send handle.
-    pub async fn swait_send(&self, h: &SendHandle, ctx: &ThreadCtx) {
-        self.swait(&h.req, ctx).await;
+    pub fn swait_send<'a>(
+        &'a self,
+        h: &'a SendHandle,
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = ()> + 'a {
+        self.swait(&h.req, ctx)
     }
 
     /// Waits until any of `reqs` completes; returns its index.
-    pub async fn swait_any(&self, reqs: &[PiomReq], ctx: &ThreadCtx) -> usize {
-        match self.inner.cfg.engine {
-            EngineKind::Pioman => {
-                self.inner
-                    .pioman
-                    .as_ref()
-                    // lint-allow: engine kind fixed at construction
-                    .expect("pioman engine")
-                    .wait_any(reqs, ctx)
-                    .await
+    #[allow(clippy::manual_async_fn)]
+    pub fn swait_any<'a>(
+        &'a self,
+        reqs: &'a [PiomReq],
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = usize> + 'a {
+        async move {
+            match &self.inner.pioman {
+                Some(p) if self.inner.cfg.engine == EngineKind::Pioman => {
+                    p.wait_any(reqs, ctx).await
+                }
+                _ => Box::pin(self.seq_wait_any(reqs, ctx)).await,
             }
-            EngineKind::Sequential => loop {
-                if let Some(i) = reqs.iter().position(PiomReq::is_complete) {
-                    self.inner.sim.verify().observe_complete(reqs[i].id());
-                    return i;
-                }
-                self.seq_acquire(ctx).await;
-                let p = self.progress_unit();
-                if !p.cost.is_zero() {
-                    self.seq_hold(p.cost);
-                    ctx.compute(p.cost).await;
-                }
-                if !p.did_work {
-                    ctx.compute(self.inner.cfg.poll_pause).await;
-                }
-            },
+        }
+    }
+
+    /// The sequential engine's `swait_any` (see [`Session::swait`]).
+    async fn seq_wait_any(&self, reqs: &[PiomReq], ctx: &ThreadCtx) -> usize {
+        loop {
+            if let Some(i) = reqs.iter().position(PiomReq::is_complete) {
+                self.inner.sim.verify().observe_complete(reqs[i].id());
+                return i;
+            }
+            self.seq_acquire(ctx).await;
+            let p = self.progress_unit();
+            if !p.cost.is_zero() {
+                self.seq_hold(p.cost);
+                ctx.compute(p.cost).await;
+            }
+            if !p.did_work {
+                ctx.compute(self.inner.cfg.poll_pause).await;
+            }
         }
     }
 
@@ -568,10 +623,17 @@ impl Session {
     }
 
     /// `swait` on a receive handle; returns the payload.
-    pub async fn swait_recv(&self, h: &RecvHandle, ctx: &ThreadCtx) -> Vec<u8> {
-        self.swait(&h.req, ctx).await;
-        // lint-allow: completion implies delivery on the receive path
-        h.take_data().expect("completed receive carries data")
+    #[allow(clippy::manual_async_fn)]
+    pub fn swait_recv<'a>(
+        &'a self,
+        h: &'a RecvHandle,
+        ctx: &'a ThreadCtx,
+    ) -> impl Future<Output = Vec<u8>> + 'a {
+        async move {
+            self.swait(&h.req, ctx).await;
+            // lint-allow: completion implies delivery on the receive path
+            h.take_data().expect("completed receive carries data")
+        }
     }
 
     /// Convenience: blocking receive.
@@ -581,11 +643,21 @@ impl Session {
     }
 
     /// Spins until the sequential engine's library-wide mutex is free
-    /// (no-op under the PIOMAN engine).
-    async fn seq_acquire(&self, ctx: &ThreadCtx) {
-        if self.inner.cfg.engine != EngineKind::Sequential {
-            return;
+    /// (no-op under the PIOMAN engine, and while the mutex is free).
+    #[allow(clippy::manual_async_fn)]
+    fn seq_acquire<'a>(&'a self, ctx: &'a ThreadCtx) -> impl Future<Output = ()> + 'a {
+        async move {
+            if self.inner.cfg.engine == EngineKind::Sequential
+                && self.inner.sim.now() < self.inner.seq_lock_until.get()
+            {
+                // Boxed: the spin's state stays out of every post's future.
+                Box::pin(self.seq_spin(ctx)).await;
+            }
         }
+    }
+
+    /// The sequential engine's mutex spin (see [`Session::seq_acquire`]).
+    async fn seq_spin(&self, ctx: &ThreadCtx) {
         loop {
             if self.inner.sim.now() >= self.inner.seq_lock_until.get() {
                 return;

@@ -51,6 +51,11 @@ impl<T> Slab<T> {
         self.len
     }
 
+    /// Entries the slab can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// True if no entries are occupied.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -70,6 +75,13 @@ impl<T> Slab<T> {
                 idx
             }
             None => {
+                // Exact growth from one: a slab that ever holds a single
+                // entry (one thread, one tasklet per rank) keeps a single
+                // slot, where `push`'s first growth reserves four; past
+                // that it doubles like `push`.
+                if self.slots.len() == self.slots.capacity() {
+                    self.slots.reserve_exact(self.slots.len().max(1));
+                }
                 self.slots.push(Entry::Occupied(value));
                 self.slots.len() - 1
             }
@@ -174,6 +186,20 @@ mod tests {
         s.remove(c);
         let items: Vec<_> = s.iter().map(|(_, v)| *v).collect();
         assert_eq!(items, vec![20]);
+    }
+
+    #[test]
+    fn growth_is_exact_from_one_then_doubles() {
+        let mut s = Slab::new();
+        s.insert(0u64);
+        assert_eq!(s.slots.capacity(), 1);
+        let caps: Vec<usize> = (1..9)
+            .map(|i| {
+                s.insert(i);
+                s.slots.capacity()
+            })
+            .collect();
+        assert_eq!(caps, [2, 4, 4, 8, 8, 8, 8, 16]);
     }
 
     #[test]
