@@ -41,7 +41,7 @@ PM2_MODEL_DEEP=1 cargo test -q --release -p pm2-bench --test model
 
 echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # Each suite re-runs under the published fault seeds: faults (retransmit,
-# quarantine, typed exhaustion), stress (2% lossy random-traffic soak,
+# rail stall, typed exhaustion), stress (2% lossy random-traffic soak,
 # exactly-once + frame/message balance), coll (algorithm differential),
 # sched (goldens, determinism, liveness, exactly-once at 2k streams), rma
 # (passive-target put/get/accumulate, both progression modes), scale

@@ -33,20 +33,6 @@ pub struct PiomanConfig {
     pub blocking_call: bool,
     /// One-way syscall cost (enter or leave the kernel).
     pub syscall_cost: SimDuration,
-    /// Driver-health valve: quarantine a driver after this many
-    /// *consecutive* unproductive completion polls, pausing its polling
-    /// for a back-off window. `None` (the default) disables health
-    /// tracking entirely — long rendezvous waits legitimately show tens
-    /// of thousands of unproductive polls, so quarantine is an opt-in for
-    /// fault-prone fabrics (a stalled NIC should not burn every idle
-    /// core). Submissions are still served while quarantined: only
-    /// completion polling backs off.
-    pub quarantine_after: Option<u32>,
-    /// Base quarantine window; doubles with each consecutive quarantine
-    /// of the same driver (bounded by [`Self::quarantine_max_shift`]).
-    pub quarantine_backoff: SimDuration,
-    /// Cap on the quarantine doubling (window ≤ backoff × 2^shift).
-    pub quarantine_max_shift: u32,
     /// Latency between the hardware event and the kernel thread being
     /// runnable (interrupt delivery + scheduling).
     pub blocking_wake_latency: SimDuration,
@@ -80,9 +66,6 @@ impl Default for PiomanConfig {
             timer_poll: true,
             blocking_call: true,
             syscall_cost: SimDuration::from_nanos(1_500),
-            quarantine_after: None,
-            quarantine_backoff: SimDuration::from_micros(50),
-            quarantine_max_shift: 6,
             blocking_wake_latency: SimDuration::from_micros(2),
             inline_poll_pause: SimDuration::from_nanos(300),
             submission_burst_limit: 64,

@@ -45,21 +45,15 @@
 //!    armed drivers; the first one that reports work ends the sweep, and
 //!    scanning a driver with nothing pending is free.
 //!
-//! Progress-site counters are kept per driver ([`Pioman::driver_stats`])
-//! as well as globally, so workloads can see *which* shard (which rail,
-//! or shared memory) the idle cores actually progressed.
+//! Drivers are never detached, so a [`DriverId`] is a fixed slot. The
+//! progress-site counters ([`PiomanStats`]) are per node; which driver a
+//! productive step served is in the `DriverProgress` obs event, and the
+//! per-transport tally belongs to the library (NewMadeleine's
+//! `Session::driver_progress`).
 //!
-//! # Driver health and quarantine
-//!
-//! On fault-prone fabrics a stalled NIC can pin every idle core on
-//! unproductive polls. The opt-in health valve
-//! ([`PiomanConfig::quarantine_after`]) counts consecutive unproductive
-//! completion polls per driver and, past the threshold, *quarantines*
-//! the driver: its polling is paused for an exponentially growing
-//! back-off window (submissions are still served), a probe re-polls it
-//! at expiry, and any productive step re-arms it to full health.
-//! [`Pioman::driver_health`] and [`Pioman::degraded_drivers`] report the
-//! degraded state gracefully instead of wedging.
+//! There is no driver health valve: a rail that stays dark ends its
+//! requests in [`ReqError::RetriesExhausted`], and idle cores polling a
+//! silent driver park, so their polls cost no host events.
 
 #![warn(missing_docs)]
 
@@ -70,6 +64,5 @@ mod server;
 pub use config::{LockModel, PiomanConfig};
 pub use req::{PiomReq, ReqError, ReqRecord};
 pub use server::{
-    DriverHealthReport, DriverId, DriverPending, InjectionEndpoint, Pioman, PiomanStats, Progress,
-    ProgressDriver,
+    DriverId, DriverPending, InjectionEndpoint, Pioman, PiomanStats, Progress, ProgressDriver,
 };

@@ -2,7 +2,6 @@
 //! ("leaving a core idle boils down to a busy waiting", §3.2).
 
 use super::Marcel;
-use crate::sched::stats::bump_shard;
 use pm2_sim::obs::EventKind;
 use pm2_sim::{SimDuration, SimTime};
 use pm2_topo::CoreId;
@@ -21,15 +20,15 @@ pub enum HookResult {
     /// is computed, not simulated, until [`Marcel::doorbell`] or
     /// [`Marcel::wake_parked`] reports a change (see
     /// [`IdleHook::skipped`]). A poll that wrote shared state (took a
-    /// lock, counted towards a quarantine) must report
-    /// [`HookResult::Worked`] instead.
+    /// lock, ended a submission burst) must report [`HookResult::Worked`]
+    /// instead.
     Idle(SimDuration),
     /// Work was performed (or shared state written), consuming the given
     /// CPU time; re-check immediately afterwards.
     Worked(SimDuration),
     /// Like [`HookResult::Worked`], additionally naming which shard of
     /// the hook's backend did the work (e.g. which PIOMAN progress
-    /// driver); Marcel tallies per-shard hook work for it.
+    /// driver); the shard is reported in the `HookWork` obs event.
     WorkedOn {
         /// CPU time the work consumed.
         cost: SimDuration,
@@ -132,10 +131,7 @@ impl Marcel {
                     continue;
                 }
                 HookResult::Worked(c) => (c, None),
-                HookResult::WorkedOn { cost, shard } => {
-                    bump_shard(&mut self.inner.state.borrow_mut().hook_shard_work, shard);
-                    (cost, Some(shard as usize))
-                }
+                HookResult::WorkedOn { cost, shard } => (cost, Some(shard as usize)),
             };
             worked = Some(worked.unwrap_or(SimDuration::ZERO) + c);
             self.inner.sim.obs().emit(

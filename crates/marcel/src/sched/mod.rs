@@ -132,12 +132,6 @@ pub(crate) struct State {
     pub(crate) hooks: Hooks,
     pub(crate) bell: Bell,
     pub(crate) stats: SchedStats,
-    /// Per-shard counts of idle-hook work events
-    /// ([`HookResult::WorkedOn`]), indexed by shard.
-    pub(crate) hook_shard_work: Vec<u64>,
-    /// Per-shard counts of tasklet work events
-    /// ([`crate::TaskletRun::note_shard`]), indexed by shard.
-    pub(crate) tasklet_shard_work: Vec<u64>,
 }
 
 impl State {
@@ -242,8 +236,6 @@ impl Marcel {
                         check: 0,
                     },
                     stats: SchedStats::default(),
-                    hook_shard_work: Vec::new(),
-                    tasklet_shard_work: Vec::new(),
                 }),
             }),
         };

@@ -42,32 +42,11 @@ impl SchedStats {
     }
 }
 
-pub(crate) fn bump_shard(v: &mut Vec<u64>, shard: u32) {
-    let i = shard as usize;
-    if v.len() <= i {
-        v.resize(i + 1, 0);
-    }
-    v[i] += 1;
-}
-
 impl Marcel {
     /// Snapshot of the activity counters, the sweeps parked cores have
     /// made so far included.
     pub fn stats(&self) -> SchedStats {
         self.credit_parked();
         self.inner.state.borrow().stats
-    }
-
-    /// Per-shard idle-hook work counts (index = shard named by
-    /// [`crate::HookResult::WorkedOn`]; shards that never worked may be
-    /// absent).
-    pub fn hook_shard_work(&self) -> Vec<u64> {
-        self.inner.state.borrow().hook_shard_work.clone()
-    }
-
-    /// Per-shard tasklet work counts (index = shard named by
-    /// [`crate::TaskletRun::note_shard`]).
-    pub fn tasklet_shard_work(&self) -> Vec<u64> {
-        self.inner.state.borrow().tasklet_shard_work.clone()
     }
 }

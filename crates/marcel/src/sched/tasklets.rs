@@ -1,7 +1,6 @@
 //! Tasklet scheduling and execution (PIOMAN's deferred-work vector).
 
 use super::{Marcel, State};
-use crate::sched::stats::bump_shard;
 use crate::tasklet::{TaskletId, TaskletRec, TaskletRun};
 use crate::thread::ThreadId;
 use pm2_sim::obs::EventKind;
@@ -157,9 +156,6 @@ impl Marcel {
             st.stats.tasklet_runs += 1;
             if stolen {
                 st.stats.compute_steals += 1;
-            }
-            if let Some(s) = shard {
-                bump_shard(&mut st.tasklet_shard_work, s);
             }
             let rec = st.tasklets.get_mut(id.0).expect("unknown tasklet");
             rec.body = Some(body);

@@ -48,9 +48,8 @@ impl TaskletRun {
     }
 
     /// Names which shard of the tasklet's backend the work of this
-    /// execution landed on (e.g. which PIOMAN progress driver); Marcel
-    /// tallies per-shard tasklet work
-    /// ([`crate::Marcel::tasklet_shard_work`]).
+    /// execution landed on (e.g. which PIOMAN progress driver); it is
+    /// reported in the `TaskletRun` obs event.
     pub fn note_shard(&mut self, shard: u32) {
         self.shard = Some(shard);
     }

@@ -317,7 +317,7 @@ impl Cluster {
             let marcel = self.marcels[n].clone();
             reg.register(format!("sched.node{n}"), move || {
                 let s = marcel.stats();
-                let mut kv: Vec<(String, f64)> = vec![
+                vec![
                     ("dispatches".into(), s.dispatches as f64),
                     ("tasklet_runs".into(), s.tasklet_runs as f64),
                     ("tasklet_coalesced".into(), s.tasklet_coalesced as f64),
@@ -328,14 +328,7 @@ impl Cluster {
                     ("pop_local_socket".into(), s.pop_local_socket as f64),
                     ("pop_node".into(), s.pop_node as f64),
                     ("pop_steal".into(), s.pop_steal as f64),
-                ];
-                for (i, w) in marcel.hook_shard_work().iter().enumerate() {
-                    kv.push((format!("hook_shard{i}_work"), *w as f64));
-                }
-                for (i, w) in marcel.tasklet_shard_work().iter().enumerate() {
-                    kv.push((format!("tasklet_shard{i}_work"), *w as f64));
-                }
-                kv
+                ]
             });
             for (r, fabric) in self.fabrics.iter().enumerate() {
                 let nic = fabric.nic(NodeId(n));

@@ -60,7 +60,7 @@ pub enum RmaOpKind {
 }
 
 /// An op staged by the application but not yet injected into the pack
-/// lists (the per-thread injection endpoint does that).
+/// lists (the node's injection endpoint does that).
 pub(crate) enum StagedOp {
     Put {
         win: u64,
@@ -289,7 +289,7 @@ impl Session {
     // ----- origin: injection and completion -------------------------------
 
     /// Queues op `op`'s frames onto the network pack lists (called by the
-    /// per-thread injection endpoint under PIOMAN progression). Idempotent
+    /// node's injection endpoint under PIOMAN progression). Idempotent
     /// once the frames are queued. Returns the descriptor-build cost.
     pub fn rma_inject(&self, op: u64) -> SimDuration {
         let own = self.inner.node;

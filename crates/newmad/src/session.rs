@@ -224,7 +224,7 @@ impl Session {
 
     /// The PIOMAN server driving this session, if the engine is
     /// [`EngineKind::Pioman`] (`None` under the sequential engine).
-    /// pm2-rma uses it to create per-thread injection endpoints.
+    /// pm2-rma uses it to create the node's injection endpoint.
     pub fn pioman(&self) -> Option<Pioman> {
         self.inner.pioman.clone()
     }

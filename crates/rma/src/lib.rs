@@ -15,16 +15,18 @@
 //!   watcher, or the dedicated progress thread of
 //!   [`pioman::PiomanConfig::progress_thread`]).
 //!
-//! # Progress for all: per-thread injection endpoints
+//! # Progress for all: one injection endpoint per node
 //!
 //! Issuing an op only *stages* it (sub-microsecond on the calling core)
-//! and enqueues a costed injection closure on the calling thread's
-//! [`InjectionEndpoint`] — a per-thread send queue registered as one more
-//! driver in the PIOMAN registry. Whoever runs progression next drains
-//! the endpoint and pays the descriptor-build cost, so a compute-bound
-//! origin thread keeps computing while an idle core injects, transmits
-//! and completes its one-sided traffic. Endpoints share a global rank,
-//! so multi-threaded injection order is replayed exactly.
+//! and enqueues a costed injection closure on the engine's
+//! [`InjectionEndpoint`] — one send queue per node, registered as one
+//! more driver in the PIOMAN registry at the node's first remote op.
+//! Whoever runs progression next drains the endpoint and pays the
+//! descriptor-build cost, so a compute-bound origin thread keeps
+//! computing while an idle core injects, transmits and completes its
+//! one-sided traffic. Every thread of the node injects into the same
+//! FIFO, so the injection order is replayed exactly, and a thread that
+//! issues ops and finishes leaves nothing behind in the registry.
 //!
 //! Under the sequential engine (no PIOMAN) there is nobody to steal the
 //! work: the origin injects inline and pays the cost itself, and a
@@ -37,7 +39,7 @@ use pioman::InjectionEndpoint;
 use pm2_marcel::{ThreadCtx, ThreadId};
 use pm2_newmad::Session;
 use pm2_topo::NodeId;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -69,15 +71,16 @@ impl RmaHandle {
 
 struct EngineInner {
     session: Session,
-    /// Lazily-created per-application-thread injection endpoints (only
-    /// under the PIOMAN engine; the sequential engine injects inline).
-    endpoints: RefCell<HashMap<ThreadId, Rc<InjectionEndpoint>>>,
+    /// The node's injection endpoint, created at the first remote op
+    /// (only under the PIOMAN engine; the sequential engine injects
+    /// inline).
+    endpoint: OnceCell<InjectionEndpoint>,
     /// Ops issued and not yet flushed, keyed by (issuing thread, window).
     pending: RefCell<HashMap<(ThreadId, u64), Vec<u64>>>,
 }
 
-/// The per-node one-sided engine: wraps a [`Session`], owns the
-/// per-thread injection endpoints and the flush bookkeeping.
+/// The per-node one-sided engine: wraps a [`Session`], owns the node's
+/// injection endpoint and the flush bookkeeping.
 #[derive(Clone)]
 pub struct RmaEngine {
     inner: Rc<EngineInner>,
@@ -89,7 +92,7 @@ impl RmaEngine {
         RmaEngine {
             inner: Rc::new(EngineInner {
                 session: session.clone(),
-                endpoints: RefCell::new(HashMap::new()),
+                endpoint: OnceCell::new(),
                 pending: RefCell::new(HashMap::new()),
             }),
         }
@@ -163,13 +166,7 @@ impl RmaEngine {
         if !self_target {
             match self.inner.session.pioman() {
                 Some(pioman) => {
-                    let ep = Rc::clone(
-                        self.inner
-                            .endpoints
-                            .borrow_mut()
-                            .entry(ctx.id())
-                            .or_insert_with(|| Rc::new(pioman.create_endpoint())),
-                    );
+                    let ep = self.inner.endpoint.get_or_init(|| pioman.create_endpoint());
                     let session = self.inner.session.clone();
                     ep.inject(ctx.current_core(), move || session.rma_inject(op));
                 }

@@ -1,8 +1,7 @@
 //! The engine's one backoff schedule.
 //!
-//! Every exponential wait in PM2-RS — NewMadeleine's retransmit timers
-//! and PIOMAN's driver-quarantine windows — grows by [`exp_factor`], so
-//! the two layers cannot drift apart.
+//! Its one caller is NewMadeleine's retransmit timer, whose spacing
+//! between retries grows by [`exp_factor`].
 
 #![warn(missing_docs)]
 

@@ -136,12 +136,19 @@ fn fig4_loop(seed: u64) -> Cluster {
 
 /// The fig. 4 cluster with its threads spawned, not yet run.
 fn fig4_cluster(seed: u64) -> Cluster {
-    const PAIRS: u64 = 4;
-    const ITERS: u64 = 12;
     let cluster = Cluster::build(ClusterConfig {
         seed,
         ..ClusterConfig::paper_testbed(EngineKind::Pioman)
     });
+    spawn_fig4(&cluster, seed);
+    cluster
+}
+
+/// Spawns the fig. 4 loop's thread pairs on `cluster`, their message
+/// sizes drawn from `seed`.
+fn spawn_fig4(cluster: &Cluster, seed: u64) {
+    const PAIRS: u64 = 4;
+    const ITERS: u64 = 12;
     let sizes = [
         1usize << 10,
         8 << 10,
@@ -175,7 +182,6 @@ fn fig4_cluster(seed: u64) -> Cluster {
             });
         }
     }
-    cluster
 }
 
 #[test]
@@ -280,10 +286,12 @@ fn cluster_heap_is_linear_in_ranks() {
         large * 10 <= small * 11,
         "{large} B/rank at 8 192 ranks vs {small} at 1 024: not linear in ranks"
     );
-    // 3 548 B in release and 3 628 B in debug builds at seeds 1, 7, 42
-    // and 20240927; a config copy per rank and four-slot slabs and
-    // driver tables for one or two entries made it 4 060 B.
-    assert!(large <= 3_700, "{large} B/rank at 8 192 ranks");
+    // 3 188 B in release and 3 268 B in debug builds at seeds 1, 7, 42
+    // and 20240927; per-driver stats and health tables in PIOMAN and
+    // per-shard work tallies in Marcel made it 3 548 B, a config copy per
+    // rank and four-slot slabs and driver tables for one or two entries
+    // 4 060 B.
+    assert!(large <= 3_340, "{large} B/rank at 8 192 ranks");
 }
 
 /// The ring workload at `ranks`: a barrier, `rounds` exchanges of 64 B
@@ -341,11 +349,13 @@ fn ring_peak_heap_per_rank_is_bounded() {
     // cell in one block and the first waiter inline it was 11.67 KB in
     // release and 11.79 KB in debug builds at seeds 1, 7 and 42. With
     // small futures, 24-B plan steps, exact-fit single-entry slabs and
-    // driver tables, and one config of each layer per cluster it is
-    // 10.22 KB in release builds at seeds 1, 7, 42 and 20240927 and
-    // 10.35 KB in debug builds.
+    // driver tables, and one config of each layer per cluster it was
+    // 10.22 KB in release and 10.35 KB in debug builds. Without per-driver
+    // stats and health tables and per-shard work tallies it is 9.80 KB
+    // in release builds at seeds 1, 7, 42 and 20240927 and 9.92 KB in
+    // debug builds.
     const RANKS: usize = 256;
-    const CEILING: usize = 10_700;
+    const CEILING: usize = 10_250;
     let seed = fault_seed();
     drop(ring_run(16, 2, seed));
     let per_rank = peak_of(|| ring_run(RANKS, 60, seed)) / RANKS;
@@ -365,10 +375,11 @@ fn ring_at_8192_ranks_stays_under_its_heap_ceiling() {
     // receive, 88-B `from` records and 80-B plan steps ~20.1 KB; with a
     // request in three blocks and a waiter list per blocked wait ~15.7 KB;
     // with 1-KB thread futures, 56-B plan steps, four-slot slabs for one
-    // entry and per-rank config copies 13 186 B. It is 11 377 B at seeds
-    // 1, 7, 42 and 20240927.
+    // entry and per-rank config copies 13 186 B; with per-driver stats and
+    // health tables and per-shard work tallies 11 377 B. It is 10 953 B
+    // at seeds 1, 7, 42 and 20240927.
     const RANKS: usize = 8192;
-    const CEILING: usize = 11_900;
+    const CEILING: usize = 11_450;
     let seed = fault_seed();
     drop(ring_run(16, 2, seed));
     let per_rank = peak_of(|| ring_run(RANKS, 4, seed)) / RANKS;
@@ -620,5 +631,83 @@ fn finished_threads_leave_no_heap_behind() {
     assert_eq!(
         grown, 0,
         "{MORE} more rounds of 8 threads grew the heap by {grown} B"
+    );
+}
+
+#[test]
+fn fig4_rounds_reach_a_flat_heap() {
+    // The fig. 4 loop's steady state: after warm-up rounds of the loop on
+    // one cluster (the same thread pairs, tags and sizes each round), more
+    // rounds leave the live heap where it was, to the byte. Eager and
+    // rendezvous sends, offloaded submissions and blocked waits all run
+    // every round, so a record kept per message, per rendezvous or per
+    // finished thread shows here.
+    const WARM: u64 = 4;
+    const MORE: u64 = 12;
+    let seed = fault_seed();
+    let cluster = Cluster::build(ClusterConfig {
+        seed,
+        ..ClusterConfig::paper_testbed(EngineKind::Pioman)
+    });
+    let round = || {
+        spawn_fig4(&cluster, seed);
+        cluster.run_deadline(SimTime::from_secs(60));
+        assert_eq!(cluster.sim().live_tasks(), 0, "fig. 4 loop did not finish");
+    };
+    (0..WARM).for_each(|_| round());
+    let warm = LIVE.get();
+    (0..MORE).for_each(|_| round());
+    let grown = LIVE.get() - warm;
+    assert_eq!(
+        grown, 0,
+        "{MORE} more fig. 4 rounds grew the heap by {grown} B"
+    );
+}
+
+#[test]
+fn rma_from_short_lived_threads_keeps_one_endpoint() {
+    // One origin thread after another puts to a peer, flushes and
+    // finishes. The node's RMA traffic goes through one injection
+    // endpoint, created at the first remote op: an endpoint per thread
+    // would add a registry driver, polled by every progress pass, for
+    // each thread that ever issued an op.
+    const WIN: u64 = 3;
+    const WARM: u64 = 16;
+    const MORE: u64 = 48;
+    let cluster = Cluster::build(ring_config(2, fault_seed()));
+    let rma = cluster.rma(1).clone();
+    cluster.spawn_on(1, "target", move |ctx| async move {
+        rma.window_create(&ctx, WIN, 64).await;
+    });
+    cluster.run();
+    let pioman = cluster.pioman(0).expect("pioman engine").clone();
+    // The session's rail and shared-memory drivers.
+    let transports = pioman.driver_count();
+    let rounds = |n: u64| {
+        for round in 0..n {
+            let rma = cluster.rma(0).clone();
+            cluster.spawn_on(0, "origin", move |ctx| async move {
+                let win = rma.window(WIN);
+                win.put(&ctx, NodeId(1), 0, vec![round as u8; 64]);
+                win.flush(&ctx).await;
+            });
+            cluster.run();
+        }
+    };
+    rounds(WARM);
+    let warm = LIVE.get();
+    rounds(MORE);
+    let grown = LIVE.get() - warm;
+    assert_eq!(cluster.sim().live_tasks(), 0);
+    assert_eq!(
+        pioman.driver_count(),
+        transports + 1,
+        "{} origin threads left {} drivers",
+        WARM + MORE,
+        pioman.driver_count()
+    );
+    assert_eq!(
+        grown, 0,
+        "{MORE} more short-lived RMA threads grew the heap by {grown} B"
     );
 }

@@ -491,13 +491,12 @@ fn fault_runs_replay_identically_per_seed() {
     }
 }
 
-/// A rail going dark mid-rendezvous trips PIOMAN's driver quarantine:
-/// the receiver's NIC driver is reported degraded while the rail stalls,
-/// polling backs off, and the driver re-arms once frames flow again —
-/// with the transfer still delivered exactly once.
+/// A rail going dark mid-rendezvous stalls the transfer; once frames
+/// flow again it completes, delivered exactly once, and leaves no
+/// protocol state behind.
 #[test]
-fn rail_stall_mid_transfer_quarantines_then_recovers() {
-    let mut cfg = faulty(
+fn rail_stall_mid_transfer_recovers() {
+    let cfg = faulty(
         EngineKind::Pioman,
         FaultPlan {
             stalls: vec![StallWindow {
@@ -508,8 +507,6 @@ fn rail_stall_mid_transfer_quarantines_then_recovers() {
             ..FaultPlan::default()
         },
     );
-    cfg.pioman.quarantine_after = Some(200);
-    cfg.pioman.quarantine_backoff = SimDuration::from_micros(20);
     let cluster = Cluster::build(cfg);
     let got = Rc::new(Cell::new(false));
     let len = 256 << 10;
@@ -528,34 +525,8 @@ fn rail_stall_mid_transfer_quarantines_then_recovers() {
             got.set(true);
         });
     }
-    // Sample degraded-mode reporting while the rail is dark.
-    let degraded_hits = Rc::new(Cell::new(0u32));
-    for t in [150u64, 250, 350, 450, 550] {
-        let pio = cluster.pioman(1).expect("pioman engine").clone();
-        let hits = Rc::clone(&degraded_hits);
-        cluster
-            .sim()
-            .schedule_at(SimTime::from_micros(t), move |_| {
-                if !pio.degraded_drivers().is_empty() {
-                    hits.set(hits.get() + 1);
-                }
-            });
-    }
     cluster.run_deadline(FAULT_DEADLINE);
     assert!(got.get(), "transfer never completed");
-    assert!(
-        degraded_hits.get() >= 1,
-        "stalled rail was never reported degraded"
-    );
-    let pio = cluster.pioman(1).expect("pioman engine");
-    assert!(
-        pio.degraded_drivers().is_empty(),
-        "driver still quarantined after recovery"
-    );
-    let quarantines: u64 = (0..2)
-        .map(|i| pio.driver_health(pioman::DriverId(i)).quarantines)
-        .sum();
-    assert!(quarantines >= 1, "no quarantine window was ever opened");
     assert!(cluster.nic_counters(1, 0).faults_stalled >= 1);
     assert!(cluster.session(1).debug_state().is_clean());
 }
