@@ -21,12 +21,13 @@ echo "== rustdoc (-D warnings)"
 # comment fails here instead of rendering as a dead link.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== pm2-lint source gate (raw-sync + protocol-panic rules)"
+echo "== pm2-lint source gate (raw-sync + protocol-panic + payload-copy rules)"
 # The former grep hygiene gate, promoted to a scanner with testable
 # rules: no native sync primitives anywhere in crates/ (std::sync,
-# Atomic*, UnsafeCell, std::thread; escape: `// sync-allow: <reason>`) and
-# panic-capable calls in the pm2-newmad protocol paths (escape:
-# `// lint-allow: <reason>`).
+# Atomic*, UnsafeCell, std::thread; escape: `// sync-allow: <reason>`),
+# no panic-capable calls in the pm2-newmad protocol paths (escape:
+# `// lint-allow: <reason>`) and no payload copies there (`.to_vec()`,
+# `extend_from_slice`; escape: `// copy-allow: <reason>`).
 ./target/release/pm2_lint
 
 echo "== cargo test"
@@ -50,15 +51,18 @@ echo "== seed matrix (PM2_FAULT_SEED = 1 7 42)"
 # one parked core woken per change; no leaked tasks) and drop (a dropped
 # cluster frees every heap byte, whether run to quiescence, stopped
 # midway or never run; heap bytes per rank stay flat from 1 024 to 8 192
-# ranks, at most 3 700 B; a request is one block of at most 120 B; a
+# ranks, at most 3 340 B; a request is one block of at most 120 B; a
 # pending receive costs its handle, request and one match-table slot
 # (≤ 168 B), a queued send its handle, request and pack (≤ 212 B), a
 # pending rendezvous send its records at both ends (≤ 475 B, 660 with a
 # tag per send); a `Step` is at most 24 B and a one-entry slab one slot;
 # a ring thread's future is at most 436 B; threads that finish, and
-# more ring rounds, leave no heap behind; a 256-rank ring run peaks at
-# most 10 700 B per rank; release-only, so it runs here at 1, 7 and 42:
-# a ring on 8 192 ranks peaks under 11 900 B per rank, ~13 s per seed).
+# more ring rounds, leave no heap behind; a one-rail rendezvous hands the
+# sender's buffer to the receiver and a one-chunk RMA put allocates no
+# chunk, a two-rail rendezvous copies at most its tail; a 256-rank ring run
+# peaks at most 10 100 B per rank; release-only, so it runs here at 1, 7
+# and 42: a ring on 8 192 ranks peaks under 11 350 B per rank, ~13 s per
+# seed).
 # The idle suite also runs in debug at seeds 7 and 42 (`cargo test` above
 # covered seed 1): debug builds run the parking oracle, which panics where
 # a change skipped its ring.

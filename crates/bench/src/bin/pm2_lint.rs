@@ -16,6 +16,16 @@
 //!    invariants make the panic genuinely unreachable carry
 //!    `// lint-allow: <reason>` on the same or the preceding line.
 //!
+//! 3. **payload-copy** — `.to_vec()`, `<[u8]>::to_vec` and
+//!    `extend_from_slice` are forbidden in non-test code of
+//!    `crates/newmad/src`: a payload has one owner from `isend` to the
+//!    receiver's handle, so a host copy in the protocol paths is waste
+//!    the simulated zero-copy transfer does not pay. The copies the model
+//!    needs (window reads, the join of a multirail transfer's tail
+//!    chunks) carry `// copy-allow: <reason>` on the same line; a
+//!    window's store (`copy_from_slice`) and the reliability layer's
+//!    retained frame (`clone`) are not matched.
+//!
 //! Exit status 1 when any finding survives, 0 otherwise — run from the
 //! repository root (ci.sh does) or pass the root as the sole argument.
 
@@ -87,6 +97,17 @@ fn panic_hit(line: &str, prev_allows: bool) -> Option<&'static str> {
     .find(|pat| code.contains(pat))
 }
 
+/// The payload-copy rule: one line of newmad non-test code.
+fn payload_copy_hit(line: &str) -> Option<&'static str> {
+    if line.contains("copy-allow:") {
+        return None;
+    }
+    let code = code_of(line);
+    [".to_vec()", "<[u8]>::to_vec", "extend_from_slice"]
+        .into_iter()
+        .find(|pat| code.contains(pat))
+}
+
 /// Scan one file with the raw-sync rule.
 fn scan_raw_sync(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     for (i, line) in src.lines().enumerate() {
@@ -104,13 +125,13 @@ fn scan_raw_sync(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Scan one newmad source file with the protocol-panic rule, skipping
-/// `#[cfg(test)]` blocks by brace tracking.
-fn scan_protocol_panics(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+/// The lines of `src` outside `#[cfg(test)]` blocks (brace tracking),
+/// with their 1-based numbers.
+fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
     let mut in_test = false;
     let mut test_depth: i64 = 0;
     let mut test_entered = false;
-    let mut prev_allows = false;
     for (i, line) in src.lines().enumerate() {
         let code = code_of(line);
         if in_test {
@@ -128,20 +149,29 @@ fn scan_protocol_panics(path: &Path, src: &str, findings: &mut Vec<Finding>) {
             if test_entered && test_depth <= 0 {
                 in_test = false;
             }
-            prev_allows = false;
             continue;
         }
         if code.contains("#[cfg(test)]") {
             in_test = true;
             test_depth = 0;
             test_entered = false;
-            prev_allows = false;
             continue;
         }
-        if let Some(pat) = panic_hit(line, prev_allows) {
+        out.push((i + 1, line));
+    }
+    out
+}
+
+/// Scan one newmad source file with the protocol-panic and payload-copy
+/// rules, skipping `#[cfg(test)]` blocks.
+fn scan_newmad(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+    // The line number of the last non-test line with a `lint-allow:`.
+    let mut allowed_at = None;
+    for (n, line) in non_test_lines(src) {
+        if let Some(pat) = panic_hit(line, allowed_at == Some(n - 1)) {
             findings.push(Finding {
                 file: path.to_path_buf(),
-                line: i + 1,
+                line: n,
                 rule: "protocol-panic",
                 what: format!(
                     "{pat} in a newmad protocol path (return a typed error, \
@@ -149,7 +179,20 @@ fn scan_protocol_panics(path: &Path, src: &str, findings: &mut Vec<Finding>) {
                 ),
             });
         }
-        prev_allows = line.contains("lint-allow:");
+        if let Some(pat) = payload_copy_hit(line) {
+            findings.push(Finding {
+                file: path.to_path_buf(),
+                line: n,
+                rule: "payload-copy",
+                what: format!(
+                    "{pat}: a host copy of payload bytes in a newmad protocol \
+                     path (move the Vec, or annotate '// copy-allow: <reason>')"
+                ),
+            });
+        }
+        if line.contains("lint-allow:") {
+            allowed_at = Some(n);
+        }
     }
 }
 
@@ -180,7 +223,7 @@ fn main() {
         };
         scan_raw_sync(path, &src, &mut findings);
         if path.starts_with(&newmad_prefix) {
-            scan_protocol_panics(path, &src, &mut findings);
+            scan_newmad(path, &src, &mut findings);
         }
     }
     for f in &findings {
@@ -229,8 +272,24 @@ mod tests {
     fn cfg_test_blocks_are_skipped() {
         let src = "fn a() {\n    x.unwrap();\n}\n#[cfg(test)]\nmod tests {\n    fn b() { y.unwrap(); }\n}\nfn c() { z.unwrap(); }\n";
         let mut findings = Vec::new();
-        scan_protocol_panics(Path::new("m.rs"), src, &mut findings);
+        scan_newmad(Path::new("m.rs"), src, &mut findings);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 8], "test-mod unwrap must be skipped");
+    }
+
+    #[test]
+    fn payload_copy_flags_copies_and_honors_escape() {
+        assert!(payload_copy_hit("let v = data[..n].to_vec();").is_some());
+        assert!(payload_copy_hit("data.chunks(n).map(<[u8]>::to_vec).collect()").is_some());
+        assert!(payload_copy_hit("whole.extend_from_slice(&part);").is_some());
+        assert!(payload_copy_hit("let v = w[a..b].to_vec(); // copy-allow: window read").is_none());
+        assert!(payload_copy_hit("// no .to_vec() here").is_none());
+        assert!(payload_copy_hit("let v = data.split_off(n);").is_none());
+        // Only the same line escapes a copy, unlike a panic.
+        let src = "// copy-allow: the next line\nlet v = d.to_vec();\n#[cfg(test)]\nmod t {\n    fn b() { d.to_vec(); }\n}\n";
+        let mut findings = Vec::new();
+        scan_newmad(Path::new("m.rs"), src, &mut findings);
+        let hits: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(hits, vec![(2, "payload-copy")]);
     }
 }

@@ -251,10 +251,13 @@ impl CollEngine {
                 };
                 flags[d] & need != 0
             };
-            // The steps in flight and their requests, index for index: a
-            // completion is `swap_remove`d from both at the same index, so
-            // `swait_any` sees the requests in `inflight`'s order.
-            let mut inflight: Vec<usize> = Vec::new();
+            // The steps in flight (plan indices fit 32 bits) and their
+            // requests, index for index: a completion is `swap_remove`d
+            // from both at the same index, so `swait_any` sees the
+            // requests in `inflight`'s order. They grow one slot at a
+            // time and live as long as the collective runs: doubling
+            // slack would cost every rank blocked in it its bytes.
+            let mut inflight: Vec<u32> = Vec::new();
             let mut reqs: Vec<PiomReq> = Vec::new();
             let mut completed = 0usize;
             while completed < n {
@@ -302,11 +305,15 @@ impl CollEngine {
                             h.req().clone()
                         }
                     };
-                    inflight.push(i);
+                    if reqs.len() == reqs.capacity() {
+                        inflight.reserve_exact(1);
+                        reqs.reserve_exact(1);
+                    }
+                    inflight.push(i as u32);
                     reqs.push(req);
                 }
                 let idx = session.swait_any(&reqs, ctx).await;
-                let i = inflight.swap_remove(idx);
+                let i = inflight.swap_remove(idx) as usize;
                 let req = reqs.swap_remove(idx);
                 if let StepOp::Recv(dst) = plan.op(i) {
                     let data = req.take_data().expect("completed receive carries data");

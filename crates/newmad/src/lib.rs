@@ -17,7 +17,11 @@
 //! * **rendezvous** above the threshold (§2.3): RTS → (match + register
 //!   buffer) → CTS → zero-copy data transfer. Every arrow requires host
 //!   *reactivity* — the handshake only advances when somebody polls — which
-//!   is exactly what PIOMAN guarantees in the background.
+//!   is exactly what PIOMAN guarantees in the background. On the host the
+//!   payload `Vec` moves from `isend` to the receiver's handle: one rail
+//!   copies nothing, n rails copy the (n−1)/n tail once, and a lossy
+//!   fabric's reliability layer keeps a clone of each chunk for its
+//!   retransmit.
 //!
 //! The crate contains **both engines** compared in the paper's evaluation:
 //!

@@ -63,7 +63,8 @@ pub enum WireMsg {
         /// Pool bytes returned to the sender.
         bytes: usize,
     },
-    /// A chunk of zero-copy rendezvous data.
+    /// A chunk of zero-copy rendezvous data: chunk 0 is the sender's
+    /// buffer itself, moved; the others are split off its back.
     RdvData {
         /// The sender's rendezvous id.
         rdv: u64,
@@ -231,9 +232,68 @@ pub struct ShmMsg {
     pub data: Vec<u8>,
 }
 
+/// Splits a DMA payload into the pieces of `data.chunks(size)` (`size`
+/// ≥ 1) without copying the first: the others are split off from the
+/// back, each copied once, and chunk 0 keeps the original allocation with
+/// its whole capacity. A payload of at most `size` bytes is its own only
+/// chunk, moved, not copied.
+pub(crate) fn split_chunks(mut data: Vec<u8>, size: usize) -> Vec<Vec<u8>> {
+    let n = data.len().div_ceil(size);
+    let mut chunks = Vec::with_capacity(n);
+    for i in (1..n).rev() {
+        chunks.push(data.split_off(i * size));
+    }
+    if n > 0 {
+        chunks.push(data);
+    }
+    chunks.reverse();
+    chunks
+}
+
+/// Joins a DMA transfer's chunks, every slot filled, back into one
+/// buffer: the others are appended to chunk 0 in place, so a one-chunk
+/// transfer copies nothing and chunk 0 from [`split_chunks`] has the room
+/// for the rest already.
+pub(crate) fn join_chunks(chunks: Vec<Option<Vec<u8>>>) -> Vec<u8> {
+    let mut parts = chunks.into_iter().flatten();
+    let mut whole = parts.next().unwrap_or_default();
+    for part in parts {
+        whole.extend_from_slice(&part); // copy-allow: multirail tail join
+    }
+    whole
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_chunks_cuts_like_chunks_and_moves_chunk_zero() {
+        for (len, size) in [
+            (0, 1),
+            (1, 1),
+            (5, 2),
+            (8, 4),
+            (9, 4),
+            (10, 16),
+            (1 << 16, 1 << 16),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let (ptr, cap) = (data.as_ptr(), data.capacity());
+            let want: Vec<Vec<u8>> = data.chunks(size).map(<[u8]>::to_vec).collect();
+            let got = split_chunks(data, size);
+            assert_eq!(got, want, "len {len}, size {size}");
+            if let Some(first) = got.first() {
+                assert_eq!((first.as_ptr(), first.capacity()), (ptr, cap));
+            }
+            let back = join_chunks(got.into_iter().map(Some).collect());
+            assert_eq!(back, (0..len).map(|i| i as u8).collect::<Vec<u8>>());
+            if len > 0 {
+                // Chunk 0 had the room: the join appended in place.
+                assert_eq!(back.as_ptr(), ptr);
+            }
+        }
+    }
 
     #[test]
     fn wire_bytes_include_headers() {

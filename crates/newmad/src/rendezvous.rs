@@ -1,9 +1,19 @@
 //! The rendezvous protocol (§2.3): RTS → match + register → CTS →
 //! zero-copy data chunks over the rails (extracted from the session
 //! monolith).
+//!
+//! The payload has one owner from `isend` to the receiver's
+//! [`PiomReq::take_data`]: the sender's `Vec` waits in [`RdvSend`], its
+//! first chunk *is* that `Vec` (the others are split off its back, each
+//! copied once), the fabric moves each chunk, and the receiver appends
+//! the other chunks to chunk 0, which already has the room. On one rail
+//! the receiver gets the sender's allocation and no host copy happens;
+//! on n rails (n−1)/n of the bytes are copied once. The one deep copy
+//! left is the reliability layer's retained clone of each chunk on a
+//! lossy fabric, which backs its retransmit.
 
 use crate::matching::UnexpectedRts;
-use crate::msg::{Tag, WireMsg};
+use crate::msg::{join_chunks, split_chunks, Tag, WireMsg};
 use crate::session::Session;
 use crate::strategy::PackKind;
 use pioman::PiomReq;
@@ -90,7 +100,7 @@ impl Session {
     }
 
     /// CTS arrival at the sender: register the send buffer and queue the
-    /// zero-copy data chunks.
+    /// data chunks, chunk 0 being the send buffer itself.
     pub(crate) fn handle_cts(&self, rdv: u64) -> SimDuration {
         let mut st = self.inner.state.borrow_mut();
         let Some(send) = st.rdv().sends.get_mut(&rdv) else {
@@ -129,7 +139,7 @@ impl Session {
         let chunk_size = data.len().div_ceil(n_chunks);
         let mut cost = reg;
         let mut last_egress = self.inner.sim.now();
-        let chunks: Vec<Vec<u8>> = data.chunks(chunk_size.max(1)).map(<[u8]>::to_vec).collect();
+        let chunks = split_chunks(data, chunk_size.max(1));
         let total = chunks.len() as u32;
         for (i, chunk) in chunks.into_iter().enumerate() {
             let rail = &self.inner.rails[i % self.inner.rails.len()];
@@ -175,7 +185,8 @@ impl Session {
         cost
     }
 
-    /// Rendezvous data arrival: zero-copy into the application buffer.
+    /// Rendezvous data arrival: the last chunk completes the receive with
+    /// chunk 0's buffer, the other chunks appended to it in place.
     pub(crate) fn handle_rdv_data(
         &self,
         src: NodeId,
@@ -216,12 +227,7 @@ impl Session {
             let recv = st.rdv().recvs.remove(&(src, rdv)).expect("present");
             st.counters.rdv_completed += 1;
             drop(st);
-            let mut assembled = Vec::new();
-            for c in recv.chunks {
-                // lint-allow: received == chunks ⇒ every slot filled
-                assembled.extend_from_slice(&c.expect("all chunks received"));
-            }
-            recv.req.set_data(assembled);
+            recv.req.set_data(join_chunks(recv.chunks));
             self.inner.sim.obs().emit(
                 self.inner.sim.now(),
                 Some(self.inner.node.0),

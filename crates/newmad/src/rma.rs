@@ -30,7 +30,7 @@
 //! matter how many times the frame was retransmitted.
 
 use crate::matching::NmState;
-use crate::msg::WireMsg;
+use crate::msg::{join_chunks, split_chunks, WireMsg};
 use crate::session::Session;
 use crate::strategy::PackKind;
 use pioman::PiomReq;
@@ -135,7 +135,7 @@ impl Session {
             .and_then(|r| r.windows.get(&win))
             // lint-allow: local test/verification helper, caller owns the window
             .expect("window exists");
-        w[offset..offset + len].to_vec()
+        w[offset..offset + len].to_vec() // copy-allow: window read
     }
 
     // ----- origin: staging ------------------------------------------------
@@ -272,7 +272,7 @@ impl Session {
                 w[offset..offset + data.len()].copy_from_slice(&data);
                 None
             }
-            RmaOpKind::Get => Some(w[offset..offset + len].to_vec()),
+            RmaOpKind::Get => Some(w[offset..offset + len].to_vec()), // copy-allow: window read
             RmaOpKind::Acc => {
                 // lint-allow: staging invariant, caller passed data
                 let data = data.expect("accumulate carries data");
@@ -321,8 +321,7 @@ impl Session {
                                 );
                             } else {
                                 // Rendezvous-style DMA, minus the handshake.
-                                let pieces: Vec<Vec<u8>> =
-                                    data.chunks(RMA_CHUNK).map(<[u8]>::to_vec).collect();
+                                let pieces = split_chunks(data, RMA_CHUNK);
                                 let total = pieces.len() as u32;
                                 for (i, piece) in pieces.into_iter().enumerate() {
                                     st.push_pack(
@@ -532,11 +531,7 @@ impl Session {
                     if entry.received == chunks {
                         // lint-allow: entry was just inserted or found above
                         let assembly = st.rma().get_chunks.remove(&op).expect("assembly present");
-                        let mut whole = Vec::new();
-                        for part in assembly.parts {
-                            // lint-allow: received == chunks ⇒ every slot filled
-                            whole.extend_from_slice(&part.expect("chunk present"));
-                        }
+                        let whole = join_chunks(assembly.parts);
                         // lint-allow: liveness of the entry checked above, same borrow
                         let entry = st.rma().ops.get_mut(&op).expect("op present");
                         entry.result = Some(whole);
@@ -720,7 +715,7 @@ impl Session {
             let mut st = self.inner.state.borrow_mut();
             match st.rma().windows.get(&win) {
                 Some(w) => {
-                    let data = w[offset..offset + len].to_vec();
+                    let data = w[offset..offset + len].to_vec(); // copy-allow: window read
                     st.counters.rma_applied += 1;
                     st.counters.rma_acks_tx += 1;
                     if len <= self.inner.cfg.rdv_threshold {
@@ -734,8 +729,7 @@ impl Session {
                     } else {
                         // Rendezvous-style DMA reply, minus the handshake
                         // (same shape as `rma_inject`'s large-put path).
-                        let pieces: Vec<Vec<u8>> =
-                            data.chunks(RMA_CHUNK).map(<[u8]>::to_vec).collect();
+                        let pieces = split_chunks(data, RMA_CHUNK);
                         let total = pieces.len() as u32;
                         for (i, piece) in pieces.into_iter().enumerate() {
                             st.push_pack(
